@@ -22,11 +22,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/listrank.hpp"
 #include "algos/samplesort.hpp"
 #include "common.hpp"
+#include "core/exec.hpp"
 #include "core/runtime.hpp"
 #include "support/json.hpp"
 
@@ -158,9 +160,16 @@ int run(int argc, const char* const* argv) {
   const auto procs = bench::parse_csv_i64(args.str("procs"));
   const auto sort_procs = bench::parse_csv_i64(args.str("sort-procs"));
 
+  // Dense phases parallelize classification and gets over the phase
+  // workers, which Runtime sizes from the thread budget; both numbers say
+  // what host the rows below came from.
+  const int host_cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int thread_budget = rt::host_thread_budget();
   std::printf(
-      "== Traffic representation (machine %s, %d reps, best-of) ==\n\n",
-      cfg.machine.name.c_str(), cfg.reps);
+      "== Traffic representation (machine %s, %d reps, best-of, %d host "
+      "cores, thread budget %d) ==\n\n",
+      cfg.machine.name.c_str(), cfg.reps, host_cores, thread_budget);
 
   std::vector<Row> rows;
   for (const long long pll : procs) {
@@ -203,6 +212,10 @@ int run(int argc, const char* const* argv) {
   json.value(cfg.machine.name);
   json.key("reps");
   json.value(static_cast<std::int64_t>(cfg.reps));
+  json.key("host_cores");
+  json.value(static_cast<std::int64_t>(host_cores));
+  json.key("host_thread_budget");
+  json.value(static_cast<std::int64_t>(thread_budget));
   json.key("traces_identical");
   json.value(all_identical);
   json.key("grid");

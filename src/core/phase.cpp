@@ -80,7 +80,6 @@ PhasePipeline::PhasePipeline(SharedStore& store, const msg::Comm& comm,
   run_len_.resize(up);
   owner_off_.resize(up + 1);
   owner_cursor_.resize(up);
-  hashed_off_.resize(up + 1);
 }
 
 void PhasePipeline::ensure_dense_scratch() {
@@ -96,26 +95,6 @@ void PhasePipeline::ensure_dense_scratch() {
 void PhasePipeline::decide_mode(const std::vector<NodeState>& nodes) {
   const int p = comm_.nprocs();
   const auto up = nodes.size();
-
-  // Hashed put owners are recorded per word into one flat arena whose
-  // per-source regions the parallel classify fills; lay out the offsets
-  // now. Gated on a live Hashed slot so all-Block/Cyclic programs (the
-  // common case) skip the walk entirely.
-  if (store_.has_hashed()) {
-    std::fill(hashed_off_.begin(), hashed_off_.end(), 0);
-    for (std::size_t i = 0; i < up; ++i) {
-      std::uint64_t words = 0;
-      for (const PutReq& rq : nodes[i].puts) {
-        if (store_.slot_unchecked(rq.array).layout == Layout::Hashed) {
-          words += rq.count;
-        }
-      }
-      hashed_off_[i + 1] = hashed_off_[i] + words;
-    }
-    if (hashed_owners_.size() < hashed_off_[up]) {
-      hashed_owners_.resize(hashed_off_[up]);
-    }
-  }
 
   sparse_phase_ = false;
   if (p <= 1 || traffic_ == TrafficMode::Dense) return;
@@ -239,21 +218,10 @@ void PhasePipeline::classify(std::vector<NodeState>& nodes, bool spread) {
     std::uint64_t* gw = get_w_.data() + i * up;
     std::fill(pw, pw + up, 0);
     std::fill(gw, gw + up, 0);
-    std::size_t hcur = hashed_off_[i];
 
-    const auto p = static_cast<std::uint64_t>(up);
     for (const PutReq& rq : nd.puts) {
-      const ArraySlot& s = store_.slot_unchecked(rq.array);
-      if (s.layout == Layout::Hashed) {
-        // Hash each word once; the move stage replays the recorded owners.
-        for (std::uint64_t k = rq.start; k < rq.start + rq.count; ++k) {
-          const int o = static_cast<int>(hash_index(k, s.salt) % p);
-          hashed_owners_[hcur++] = o;
-          pw[o]++;
-        }
-      } else {
-        store_.accumulate_owner_counts(s, rq.start, rq.count, pw);
-      }
+      store_.accumulate_owner_counts(store_.slot_unchecked(rq.array),
+                                     rq.start, rq.count, pw);
     }
     for (const GetReq& rq : nd.gets) {
       store_.accumulate_owner_counts(store_.slot_unchecked(rq.array),
@@ -284,7 +252,6 @@ void PhasePipeline::classify_sparse(std::vector<NodeState>& nodes,
     ctr.begin(up);
 
     const auto p64 = static_cast<std::uint64_t>(up);
-    std::size_t hcur = hashed_off_[i];
     std::size_t rpos = run_off_[i];
     for (const PutReq& rq : nd.puts) {
       const ArraySlot& s = store_.slot_unchecked(rq.array);
@@ -318,7 +285,6 @@ void PhasePipeline::classify_sparse(std::vector<NodeState>& nodes,
         case Layout::Hashed:
           for (std::uint64_t k = rq.start; k < rq.start + rq.count; ++k) {
             const int o = static_cast<int>(hash_index(k, s.salt) % p64);
-            hashed_owners_[hcur++] = o;
             ctr.add_put(o, 1);
             runs_[rpos++] = PutRun{src, rq.array, o, k,
                                    rq.buf_offset + (k - rq.start), 1, 1};
@@ -472,68 +438,18 @@ void PhasePipeline::move_data(std::vector<NodeState>& nodes, bool spread) {
   }
   exec_.parallel(up, spread, copy_gets);
 
-  if (!spread || !exec_.parallel_enabled()) {
-    // Serial: rank-major request order, whole-request copies.
-    for (auto& nd : nodes) {
-      for (const PutReq& rq : nd.puts) {
-        ArraySlot& s = store_.slot_unchecked(rq.array);
-        std::memcpy(s.data.data() + rq.start,
-                    nd.put_buf.data() + rq.buf_offset,
-                    rq.count * sizeof(std::uint64_t));
-      }
+  // Puts apply serially, whole requests in rank-major enqueue order, so the
+  // last writer in that order wins. The copies are O(words) and memory
+  // bound; partitioning them by owner for the worker pool would take a pass
+  // over every request per owner — O(p × requests), ~10^9 steps for an
+  // all-pairs phase at p = 1024.
+  for (auto& nd : nodes) {
+    for (const PutReq& rq : nd.puts) {
+      ArraySlot& s = store_.slot_unchecked(rq.array);
+      std::memcpy(s.data.data() + rq.start, nd.put_buf.data() + rq.buf_offset,
+                  rq.count * sizeof(std::uint64_t));
     }
-    return;
   }
-
-  // Parallel: partition by owning node — every word has exactly one owner,
-  // so tasks write disjoint locations. Within a task, sources are walked in
-  // (rank, enqueue order, ascending index) order: the serial resolution
-  // order projected onto this owner's words, so concurrent-put results are
-  // bit-identical to the serial path.
-  exec_.parallel(up, true, [&](std::size_t j) {
-    const auto p = static_cast<std::uint64_t>(up);
-    for (std::size_t i = 0; i < up; ++i) {
-      const NodeState& nd = nodes[i];
-      std::size_t hash_cursor = hashed_off_[i];
-      for (const PutReq& rq : nd.puts) {
-        ArraySlot& s = store_.slot_unchecked(rq.array);
-        const std::uint64_t* src = nd.put_buf.data() + rq.buf_offset;
-        switch (s.layout) {
-          case Layout::Block: {
-            const std::uint64_t own_begin =
-                std::min<std::uint64_t>(s.n, j * s.chunk);
-            const std::uint64_t own_end =
-                std::min<std::uint64_t>(s.n, (j + 1) * s.chunk);
-            const std::uint64_t b = std::max(rq.start, own_begin);
-            const std::uint64_t e = std::min(rq.start + rq.count, own_end);
-            if (b < e) {
-              std::memcpy(s.data.data() + b, src + (b - rq.start),
-                          (e - b) * sizeof(std::uint64_t));
-            }
-            break;
-          }
-          case Layout::Cyclic: {
-            const std::uint64_t first =
-                rq.start + ((j + p - rq.start % p) % p);
-            for (std::uint64_t k = first; k < rq.start + rq.count; k += p) {
-              s.data[k] = src[k - rq.start];
-            }
-            break;
-          }
-          case Layout::Hashed: {
-            const int* owners = hashed_owners_.data() + hash_cursor;
-            for (std::uint64_t k = 0; k < rq.count; ++k) {
-              if (owners[k] == static_cast<int>(j)) {
-                s.data[rq.start + k] = src[k];
-              }
-            }
-            hash_cursor += rq.count;
-            break;
-          }
-        }
-      }
-    }
-  });
 }
 
 void PhasePipeline::move_puts_sparse(std::vector<NodeState>& nodes,

@@ -7,17 +7,18 @@
 //       traffic to per-(source, owner) word counts. Ownership is resolved
 //       at run granularity through the SharedStore's cached resolvers
 //       (closed-form for Block and Cyclic layouts; per-word hashing only
-//       for Hashed, recorded once and reused by the move stage). The
-//       bulk-synchrony rule check and kappa tracking run here as sorted
-//       interval passes over the request spans — O(requests log requests),
-//       not a hash-map probe per word.
+//       for Hashed). The bulk-synchrony rule check and kappa tracking run
+//       here as sorted interval passes over the request spans —
+//       O(requests log requests), not a hash-map probe per word.
 //
 //   move — execute the semantics: gets copy pre-phase values into their
 //       destination buffers (parallel over requesting nodes — each node's
-//       destinations are private), then puts apply owner-partitioned in
-//       (source rank, enqueue order) order, so concurrent writes resolve
-//       exactly as the serial runtime did: last writer in rank-major order
-//       wins. The stage boundary is a worker-pool barrier, which is what
+//       destinations are private), then puts apply in (source rank,
+//       enqueue order) order, so the last writer in rank-major order wins.
+//       Dense phases copy whole put requests serially in that order, at
+//       O(requests + words); sparse phases move classify's put runs
+//       owner-partitioned on the worker pool, each owner's runs in that
+//       order. The stage boundary is a worker-pool barrier, which is what
 //       makes "reads see pre-phase values" hold under parallelism.
 //
 //   price — feed the per-(source, owner) counts through the simulated
@@ -193,9 +194,9 @@ class PhasePipeline {
     }
   };
 
-  /// Pre-pass: sizes the hashed-owner arena, and (for Auto/Sparse) bounds
-  /// each source's active pairs and put runs from the request spans to pick
-  /// the phase's representation and lay out the CSR arenas.
+  /// Pre-pass (Auto/Sparse): bounds each source's active pairs and put runs
+  /// from the request spans to pick the phase's representation and lay out
+  /// the CSR arenas.
   void decide_mode(const std::vector<NodeState>& nodes);
   void ensure_dense_scratch();
 
@@ -243,13 +244,6 @@ class PhasePipeline {
   // Both forms:
   std::vector<std::uint64_t> local_w_;  ///< locally-owned words per node
   std::vector<std::uint64_t> get_row_;  ///< per-source remote get words
-  /// Word owners of every Hashed-layout put request, hashed once in
-  /// classify and replayed by the owner-partitioned put stage: one flat
-  /// arena in (source, request, word) order with per-source offsets —
-  /// no per-phase inner-vector churn. Sized only when a hashed slot is
-  /// live.
-  std::vector<int> hashed_owners_;
-  std::vector<std::size_t> hashed_off_;  ///< size p+1
   std::vector<std::uint64_t> recv_w_;  ///< per-owner received words
   std::vector<cycles_t> t_ready_;
   std::vector<cycles_t> t_done_;

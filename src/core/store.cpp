@@ -17,7 +17,6 @@ SharedStore::Handle SharedStore::allocate(std::uint64_t n, Layout layout,
   s.n = n;
   s.chunk = block_chunk(n, nprocs_);
   s.data.assign(n, 0);
-  if (layout == Layout::Hashed) ++hashed_live_;
 
   if (!free_ids_.empty()) {
     const std::uint32_t id = free_ids_.back();
@@ -37,10 +36,6 @@ SharedStore::Handle SharedStore::allocate(std::uint64_t n, Layout layout,
 
 void SharedStore::release(std::uint32_t id, std::uint32_t generation) {
   ArraySlot& s = slot(id, generation);  // rejects stale handles/double free
-  if (s.layout == Layout::Hashed) {
-    QSM_ASSERT(hashed_live_ > 0, "hashed slot count underflow");
-    --hashed_live_;
-  }
   s.freed = true;
   s.generation++;
   s.data.clear();

@@ -133,16 +133,10 @@ class SharedStore {
                                    static_cast<std::uint64_t>(nprocs_));
   }
 
-  /// True while any live slot uses Layout::Hashed. Lets the phase pipeline
-  /// skip the per-word hashed-owner bookkeeping entirely for the common
-  /// all-Block/Cyclic program.
-  [[nodiscard]] bool has_hashed() const { return hashed_live_ > 0; }
-
  private:
   std::uint64_t seed_;
   int nprocs_;
   std::uint64_t alloc_seq_{0};
-  std::uint64_t hashed_live_{0};  ///< live Hashed-layout slots, see has_hashed
   std::vector<ArraySlot> slots_;
   std::vector<std::uint32_t> free_ids_;
 };

@@ -134,7 +134,10 @@ net::ExchangeResult Comm::alltoallv_flat(
   }
   key.fault_salt = fault_salt;
 
-  return xfer_lookup_or_simulate(std::move(key), base);
+  if (auto hit = xfer_cache_.get(key)) {
+    return shift_result(std::move(*hit), base);
+  }
+  return xfer_simulate(std::move(key), base);
 }
 
 net::ExchangeResult Comm::alltoallv_sparse(
@@ -187,15 +190,10 @@ net::ExchangeResult Comm::alltoallv_sparse(
   key.rel_start = rel_scratch;
   key.traffic = traffic;
   key.fault_salt = fault_salt;
-  return xfer_lookup_or_simulate(std::move(key), base);
+  return xfer_simulate(std::move(key), base);
 }
 
-net::ExchangeResult Comm::xfer_lookup_or_simulate(XferKey key,
-                                                  cycles_t base) const {
-  if (auto hit = xfer_cache_.get(key)) {
-    return shift_result(std::move(*hit), base);
-  }
-
+net::ExchangeResult Comm::xfer_simulate(XferKey key, cycles_t base) const {
   auto canonical = net::simulate_alltoallv_sparse(
       cfg_.net, cfg_.sw, key.rel_start, key.traffic, key.fault_salt);
 

@@ -101,9 +101,8 @@ class Comm {
     return net::MsgCost{cfg_.net, cfg_.sw}.isolated(bytes);
   }
 
-  /// Memo-cache counters (host diagnostics, never in a trace). The sparse
-  /// alltoallv path probes twice on a cold pattern (borrowed view, then
-  /// owning key), so its `misses` counts probes, not simulations.
+  /// Memo-cache counters (host diagnostics, never in a trace). Every entry
+  /// point probes once per call, so `misses` counts simulations.
   [[nodiscard]] support::snap::Stats plan_cache_stats() const {
     return plan_cache_.stats();
   }
@@ -189,19 +188,19 @@ class Comm {
     }
   };
 
-  /// Shared miss/lookup path behind both alltoallv entry points: `key`
-  /// already holds the canonical arrival pattern and sparse traffic.
-  [[nodiscard]] net::ExchangeResult xfer_lookup_or_simulate(
-      XferKey key, cycles_t base) const;
+  /// Shared miss path behind both alltoallv entry points, called after the
+  /// probe missed: simulates `key` (the canonical arrival pattern and
+  /// sparse traffic), stores it, and returns it shifted to `base`.
+  [[nodiscard]] net::ExchangeResult xfer_simulate(XferKey key,
+                                                  cycles_t base) const;
 
   machine::MachineConfig cfg_;
-  // Pricing runs serially inside a runtime's phase completion, but sweep
-  // jobs and a future sweep-as-a-service daemon may share a Comm: both
-  // memos are read-mostly snapshot caches (support/snapcache.hpp), so a
-  // warm lookup is a wait-free generation claim, never a mutex. Capacity
-  // policy (entry cap on the plan memo, word cap + oversize skip on the
-  // xfer memo) is declared per cache in the constructor; under a
-  // single-thread host budget both drop to plain in-place maps.
+  // Pricing runs serially inside a runtime's phase completion. Both memos
+  // are snapshot caches (support/snapcache.hpp): a warm lookup is a
+  // wait-free generation claim, never a mutex. Capacity policy (entry cap
+  // on the plan memo, word cap + oversize skip on the xfer memo) is
+  // declared per cache in the constructor; under a single-thread host
+  // budget both drop to plain in-place maps.
   mutable support::snap::Cache<PlanKey, net::ExchangeResult, PlanKeyHash>
       plan_cache_;
   mutable support::snap::Cache<XferKey, net::ExchangeResult, XferKeyHash,

@@ -1,6 +1,7 @@
 #include "net/exchange.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "net/fault.hpp"
 #include "sim/resource.hpp"
@@ -10,84 +11,288 @@ namespace qsm::net {
 
 namespace {
 
-/// Sort key that realizes the staggered round-robin send schedule: node i's
-/// r-th send goes to partner (i + r) mod p, so the round index of a message
-/// (src -> dst) is (dst - src) mod p.
-int round_of(int src, int dst, int p) {
-  int r = (dst - src) % p;
-  if (r < 0) r += p;
-  return r;
+/// Puts validated transfers into the library's send order: source-major,
+/// then ascending round (Staggered) or ascending destination (FixedTarget),
+/// stable among equal pairs.
+///
+/// FixedTarget is the naive order: every sender walks destinations 0, 1,
+/// 2, ... so all nodes hammer the same receiver at once. Staggered is the
+/// round-robin schedule: node i's r-th send goes to partner (i + r) mod p,
+/// so a message's round is (dst - src) mod p. For one source, rounds ascend
+/// over the destinations above src, then wrap to those below it, so the
+/// staggered order is a per-source rotation of the FixedTarget order.
+/// Rotation keeps repeated pairs in input order. Collectives build their
+/// lists in flat-index order, which already is the FixedTarget order, so
+/// they skip the sort.
+void order_sends(std::vector<Transfer>& sends,
+                 ExchangeSpec::SendOrder order) {
+  const auto by_pair = [](const Transfer& a, const Transfer& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  };
+  if (!std::is_sorted(sends.begin(), sends.end(), by_pair)) {
+    std::stable_sort(sends.begin(), sends.end(), by_pair);
+  }
+  if (order != ExchangeSpec::SendOrder::Staggered) return;
+  for (auto b = sends.begin(); b != sends.end();) {
+    const int src = b->src;
+    const auto e = std::find_if(
+        b, sends.end(), [src](const Transfer& t) { return t.src != src; });
+    const auto mid = std::partition_point(
+        b, e, [src](const Transfer& t) { return t.dst < src; });
+    std::rotate(b, mid, e);
+    b = e;
+  }
 }
 
-/// Per-message pipeline stage, dispatched by the flat event loop below.
+/// Per-message pipeline stage, dispatched by the event loop below.
 enum class Stage : std::uint8_t { Send, Tx, Fabric, Rx, Recv };
+constexpr std::uint32_t kStages = 5;
+constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
 
-/// A pending event: plain data, 24 bytes. The heap pops events in
-/// (time, seq) order — the exact order the generic sim::Engine executes
-/// them — and (time, seq) pairs are unique, so swapping the closure-based
-/// queue for this POD heap cannot change the execution order, and with it
-/// cannot change any simulated number. It just removes the std::function
-/// dispatch and the 64-byte element moves from every heap sift.
+/// A pending event as the loop dispatches it, and as the overflow heap
+/// holds it: plain data, 24 bytes.
 struct Event {
   cycles_t at;
   std::uint64_t seq;
   std::uint32_t msg;
   Stage stage;
+};
 
-  // Min-heap by (time, seq): earlier times first, FIFO among equal times.
-  bool operator<(const Event& other) const {
-    if (at != other.at) return at > other.at;
-    return seq > other.seq;
+/// An event queued in a stream, linked to the stream's next event by pool
+/// index. The stage is the stream's, so a node takes 24 bytes.
+struct QueuedEvent {
+  cycles_t at;
+  std::uint64_t seq;
+  std::uint32_t msg;
+  std::uint32_t next;
+};
+
+/// The earliest event of one nonempty stream, as the merge heap holds it.
+struct StreamHead {
+  cycles_t at;
+  std::uint64_t seq;
+  std::uint32_t stream;
+  Stage stage;
+};
+
+/// Heap order for both heaps: the top is the least (time, seq).
+struct Later {
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    if (a.at != b.at) return a.at > b.at;
+    return a.seq > b.seq;
+  }
+};
+constexpr Later later{};
+
+/// The pending events of one exchange, popped in (time, seq) order — the
+/// order the generic sim::Engine executes them in.
+///
+/// Events live in per-(stage, node) FIFO streams: Send, Tx, Fabric and Rx
+/// events keyed by sender, Recv events by receiver. A stream accepts an
+/// event only at or after its tail's time; an event scheduled earlier goes
+/// to an overflow heap instead. A min-heap of stream heads (at most 5p
+/// entries) merges the streams.
+///
+/// Why this pops exactly the sequence that one heap of every pending event
+/// (sim::Engine's queue) pops: every pending event sits in one stream or in
+/// the overflow heap. seq grows with every schedule, so the append rule
+/// keeps each stream sorted by (time, seq), and a stream's head is its
+/// least event. The lesser of the two heap tops is then the least pending
+/// (time, seq), which is unique because seq is. Same pop, same handler,
+/// same schedules with the same seqs — by induction, the same run.
+///
+/// The keying only decides how often the overflow heap is used. Each event
+/// time is a FIFO resource's grant end (plus, for Rx, the flight time), and
+/// a resource's grant ends never decrease: the sender CPU for Tx, the
+/// sender NIC for Fabric, the sender NIC or the one shared fabric for Rx,
+/// the receiver NIC for Recv. A sender's initial Sends all share its start
+/// time. So only fault retries, delay spikes, and hop-dependent flight on
+/// Ring/Torus2D can land before a tail. The merge heap stays O(p) where a
+/// single heap grows to about one entry per message.
+class EventQueue {
+ public:
+  /// Empties the queue for an exchange over p nodes; `events` sizes the
+  /// pool for the usual peak (every message pending in one stage at once).
+  void reset(int p, std::size_t events) {
+    p_ = static_cast<std::uint32_t>(p);
+    pool_.clear();
+    pool_.reserve(events);
+    free_ = kNil;
+    first_.assign(kStages * p_, kNil);
+    last_.resize(kStages * p_);
+    heads_.clear();
+    overflow_.clear();
+    next_seq_ = 0;
+  }
+
+  void push(cycles_t at, Stage stage, int node, std::uint32_t msg) {
+    const std::uint64_t seq = next_seq_++;
+    const std::uint32_t stream = static_cast<std::uint32_t>(stage) * p_ +
+                                 static_cast<std::uint32_t>(node);
+    const bool empty = first_[stream] == kNil;
+    if (!empty && at < pool_[last_[stream]].at) {
+      overflow_.push_back(Event{at, seq, msg, stage});
+      std::push_heap(overflow_.begin(), overflow_.end(), later);
+      return;
+    }
+    std::uint32_t idx = free_;
+    if (idx != kNil) {
+      free_ = pool_[idx].next;
+      pool_[idx] = QueuedEvent{at, seq, msg, kNil};
+    } else {
+      QSM_REQUIRE(pool_.size() < kNil, "exchange has too many pending events");
+      idx = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(QueuedEvent{at, seq, msg, kNil});
+    }
+    if (empty) {
+      first_[stream] = idx;
+      heads_.push_back(StreamHead{at, seq, stream, stage});
+      std::push_heap(heads_.begin(), heads_.end(), later);
+    } else {
+      pool_[last_[stream]].next = idx;
+    }
+    last_[stream] = idx;
+  }
+
+  /// Removes the least pending event into `ev`; false once none is left.
+  bool pop(Event& ev) {
+    if (heads_.empty() && overflow_.empty()) return false;
+    if (!overflow_.empty() &&
+        (heads_.empty() || later(heads_.front(), overflow_.front()))) {
+      std::pop_heap(overflow_.begin(), overflow_.end(), later);
+      ev = overflow_.back();
+      overflow_.pop_back();
+      return true;
+    }
+    std::pop_heap(heads_.begin(), heads_.end(), later);
+    StreamHead& head = heads_.back();
+    const std::uint32_t idx = first_[head.stream];
+    QueuedEvent& node = pool_[idx];
+    ev = Event{node.at, node.seq, node.msg, head.stage};
+    const std::uint32_t next = node.next;
+    first_[head.stream] = next;
+    node.next = free_;
+    free_ = idx;
+    if (next == kNil) {
+      heads_.pop_back();
+    } else {
+      head.at = pool_[next].at;
+      head.seq = pool_[next].seq;
+      std::push_heap(heads_.begin(), heads_.end(), later);
+    }
+    return true;
+  }
+
+  /// Frees the event pool and the overflow heap where either has room for
+  /// more than `keep` events.
+  void trim(std::size_t keep) {
+    if (pool_.capacity() > keep) std::vector<QueuedEvent>().swap(pool_);
+    if (overflow_.capacity() > keep) std::vector<Event>().swap(overflow_);
+  }
+
+ private:
+  std::uint32_t p_{0};
+  std::vector<QueuedEvent> pool_;  ///< stream nodes; freed ones are chained
+  std::uint32_t free_{kNil};
+  std::vector<std::uint32_t> first_;  ///< per stream: head node, or kNil
+  std::vector<std::uint32_t> last_;   ///< per stream: tail node, if nonempty
+  std::vector<StreamHead> heads_;
+  std::vector<Event> overflow_;
+  std::uint64_t next_seq_{0};
+};
+
+/// Host scratch reused by every exchange on a thread, so a steady stream of
+/// exchanges allocates nothing but each result's node vector.
+struct Workspace {
+  std::vector<Transfer> sends;  ///< the exchange's messages, in send order
+  EventQueue queue;
+  std::vector<std::uint8_t> attempt;  ///< 1-based per-message attempt
+  std::vector<MsgFate> fate;          ///< fate of the in-flight attempt
+  std::vector<sim::Resource> cpu;
+  std::vector<sim::Resource> tx;
+  std::vector<sim::Resource> rx;
+
+  /// Releases the message-sized buffers once they outgrow the bound below:
+  /// an all-pairs exchange at p = 1024 would otherwise pin ~40 MB on every
+  /// thread that ever priced one.
+  void trim() {
+    constexpr std::size_t kKeptMessages = std::size_t{1} << 16;
+    if (sends.capacity() > kKeptMessages) std::vector<Transfer>().swap(sends);
+    if (attempt.capacity() > kKeptMessages) {
+      std::vector<std::uint8_t>().swap(attempt);
+      std::vector<MsgFate>().swap(fate);
+    }
+    queue.trim(kKeptMessages);
   }
 };
 
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+/// Lends the calling thread's Workspace to one exchange and trims it when
+/// the exchange ends, by return or by throw.
+struct WorkspaceLoan {
+  Workspace& ws;
+  WorkspaceLoan() : ws(workspace()) {}
+  ~WorkspaceLoan() { ws.trim(); }
+};
+
 /// Per-message pipeline state machine over FIFO resources. Stages request
-/// resources and schedule follow-ups in exactly the order the sim::Engine
-/// formulation did; see Event for why the flat queue is result-identical.
+/// resources and schedule follow-ups in exactly the order of the closure
+/// formulation on sim::Engine (tests/net/exchange_reference_test.cpp keeps
+/// it), and EventQueue pops them in that formulation's order.
 struct ExchangeSim {
   const NetworkParams& hw;
   const SoftwareParams& sw;
   MsgCost cost;
   int p;
   bool control;
-  std::vector<Transfer> sends;
-  std::vector<cycles_t> flight;  ///< per message, filled by send_stage
+  const std::vector<Transfer>& sends;
   // Fault injection (inactive unless the spec carries a nonzero salt AND
   // hw.fault enables message faults; then every draw is a pure function of
   // (salt, src, dst, attempt) — never of simulated time, so results stay
   // time-translation invariant).
   FaultModel fault;
-  std::uint64_t salt{0};
-  bool faulty{false};
-  std::vector<std::uint8_t> attempt;  ///< 1-based per-message attempt counter
-  std::vector<MsgFate> fate;          ///< fate of the in-flight attempt
+  std::uint64_t salt;
+  bool faulty;
+  std::vector<std::uint8_t>& attempt;
+  std::vector<MsgFate>& fate;
 
-  std::vector<Event> heap;
-  std::uint64_t next_seq{0};
+  EventQueue& queue;
   cycles_t now{0};
-  std::vector<sim::Resource> cpu;
-  std::vector<sim::Resource> tx;
-  std::vector<sim::Resource> rx;
+  std::vector<sim::Resource>& cpu;
+  std::vector<sim::Resource>& tx;
+  std::vector<sim::Resource>& rx;
   sim::Resource fabric{"fabric"};  // used only when hw.fabric_links > 0
 
   ExchangeResult result;
 
   ExchangeSim(const NetworkParams& hw_in, const SoftwareParams& sw_in,
               int p_in, bool control_in, std::uint64_t salt_in,
-              std::vector<Transfer> sends_in)
+              Workspace& ws)
       : hw(hw_in),
         sw(sw_in),
         cost{hw_in, sw_in},
         p(p_in),
         control(control_in),
-        sends(std::move(sends_in)),
-        flight(sends.size(), 0),
+        sends(ws.sends),
         fault(hw_in.fault),
         salt(salt_in),
         faulty(salt_in != 0 && hw_in.fault.message_faults_enabled()),
-        cpu(static_cast<std::size_t>(p_in)),
-        tx(static_cast<std::size_t>(p_in)),
-        rx(static_cast<std::size_t>(p_in)) {
+        attempt(ws.attempt),
+        fate(ws.fate),
+        queue(ws.queue),
+        cpu(ws.cpu),
+        tx(ws.tx),
+        rx(ws.rx) {
+    const auto up = static_cast<std::size_t>(p);
+    cpu.assign(up, sim::Resource{});
+    tx.assign(up, sim::Resource{});
+    rx.assign(up, sim::Resource{});
+    queue.reset(p, sends.size() + up);
     if (faulty) {
       attempt.assign(sends.size(), 1);
       fate.assign(sends.size(), MsgFate::Deliver);
@@ -96,15 +301,13 @@ struct ExchangeSim {
 
   void schedule(cycles_t at, Stage stage, std::uint32_t msg) {
     QSM_REQUIRE(at >= now, "cannot schedule an event in the past");
-    heap.push_back(Event{at, next_seq++, msg, stage});
-    std::push_heap(heap.begin(), heap.end());
+    const Transfer& t = sends[msg];
+    queue.push(at, stage, stage == Stage::Recv ? t.dst : t.src, msg);
   }
 
   void run() {
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end());
-      const Event ev = heap.back();
-      heap.pop_back();
+    Event ev{};
+    while (queue.pop(ev)) {
       QSM_ASSERT(ev.at >= now, "event queue went backwards");
       now = ev.at;
       switch (ev.stage) {
@@ -142,13 +345,9 @@ struct ExchangeSim {
     note_finish(t.src, send_grant.end);
     result.messages++;
     result.wire_bytes += t.bytes + sw.msg_header_bytes;
-    // Distance-dependent latency: hops * l (1 hop when fully connected).
-    flight[i] = hw.latency * hops(hw.topology, t.src, t.dst, p);
     if (faulty) {
       fate[i] = fault.message_fate(salt, t.src, t.dst, attempt[i]);
-      if (fate[i] == MsgFate::Delay) {
-        flight[i] += fault.params().delay_cycles;
-      } else if (fate[i] == MsgFate::Duplicate) {
+      if (fate[i] == MsgFate::Duplicate) {
         // The fabric will deliver two copies; both serialize, fly, and are
         // ingested. The second copy is its own Tx event right behind the
         // first, so it queues FIFO on the same NIC.
@@ -182,6 +381,15 @@ struct ExchangeSim {
     depart(i, fab.end);
   }
 
+  /// Wire time of the in-flight attempt: hops * l (1 hop when fully
+  /// connected), plus the spike of a delayed attempt.
+  cycles_t flight(std::uint32_t i) const {
+    const Transfer& t = sends[i];
+    cycles_t f = hw.latency * hops(hw.topology, t.src, t.dst, p);
+    if (faulty && fate[i] == MsgFate::Delay) f += fault.params().delay_cycles;
+    return f;
+  }
+
   /// The attempt leaves the sender at `end`. Fault-free (and for delayed,
   /// duplicated, or forcibly delivered attempts) it reaches the receiver
   /// NIC after the flight time; a dropped attempt vanishes on the wire and
@@ -195,11 +403,12 @@ struct ExchangeSim {
       result.drops++;
       result.retries++;
       const cycles_t wait = fault.retry_delay(attempt[i]);
+      const cycles_t arrive = end + flight(i);
       attempt[i] = static_cast<std::uint8_t>(attempt[i] + 1);
-      schedule(end + flight[i] + wait, Stage::Send, i);
+      schedule(arrive + wait, Stage::Send, i);
       return;
     }
-    schedule(end + flight[i], Stage::Rx, i);
+    schedule(end + flight(i), Stage::Rx, i);
   }
 
   /// Receiver NIC pulls the message off the wire.
@@ -219,54 +428,34 @@ struct ExchangeSim {
   }
 };
 
-}  // namespace
-
-ExchangeResult simulate_exchange(const NetworkParams& hw,
-                                 const SoftwareParams& sw,
-                                 const ExchangeSpec& spec) {
+/// Validates the messages in `ws.sends`, puts them in send order, and
+/// simulates the exchange.
+ExchangeResult simulate_sends(const NetworkParams& hw, const SoftwareParams& sw,
+                              const std::vector<cycles_t>& start,
+                              bool control, ExchangeSpec::SendOrder order,
+                              std::uint64_t fault_salt, Workspace& ws) {
   hw.validate();
   sw.validate();
-  const int p = spec.p;
+  const int p = static_cast<int>(start.size());
   QSM_REQUIRE(p >= 1, "exchange needs at least one node");
-  QSM_REQUIRE(spec.start.size() == static_cast<std::size_t>(p),
-              "start times must cover every node");
-  for (cycles_t s : spec.start) {
+  for (cycles_t s : start) {
     QSM_REQUIRE(s >= 0, "start times must be non-negative");
   }
-
-  // Order each node's sends by round-robin partner round, stably, so the
-  // schedule is deterministic and staggered.
-  std::vector<Transfer> sends = spec.transfers;
-  for (const Transfer& t : sends) {
+  for (const Transfer& t : ws.sends) {
     QSM_REQUIRE(t.src >= 0 && t.src < p && t.dst >= 0 && t.dst < p,
                 "transfer endpoint out of range");
     QSM_REQUIRE(t.src != t.dst, "self-transfer is not network traffic");
     QSM_REQUIRE(t.bytes >= 0, "negative transfer size");
   }
-  if (spec.order == ExchangeSpec::SendOrder::Staggered) {
-    std::stable_sort(sends.begin(), sends.end(),
-                     [p](const Transfer& a, const Transfer& b) {
-                       if (a.src != b.src) return a.src < b.src;
-                       return round_of(a.src, a.dst, p) <
-                              round_of(b.src, b.dst, p);
-                     });
-  } else {
-    // Naive order: every sender walks destinations 0, 1, 2, ... so all
-    // nodes hammer the same receiver at once.
-    std::stable_sort(sends.begin(), sends.end(),
-                     [](const Transfer& a, const Transfer& b) {
-                       if (a.src != b.src) return a.src < b.src;
-                       return a.dst < b.dst;
-                     });
-  }
+  QSM_REQUIRE(ws.sends.size() < kNil, "too many messages in one exchange");
+  order_sends(ws.sends, order);
 
-  ExchangeSim sim(hw, sw, p, spec.control, spec.fault_salt, std::move(sends));
-  sim.result.nodes.assign(static_cast<std::size_t>(p), NodeTimings{});
+  ExchangeSim sim(hw, sw, p, control, fault_salt, ws);
   // Every node is at least "finished" at its own start time (a node with no
   // traffic is done when it arrives).
-  for (int i = 0; i < p; ++i) {
-    sim.result.nodes[static_cast<std::size_t>(i)].finish =
-        spec.start[static_cast<std::size_t>(i)];
+  sim.result.nodes.resize(start.size());
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    sim.result.nodes[i].finish = start[i];
   }
 
   // Kick off each node's send chain. Each send event claims the node CPU;
@@ -274,17 +463,15 @@ ExchangeResult simulate_exchange(const NetworkParams& hw,
   // chained stage events. Resource::serve() calls always happen inside
   // events, so request times are nondecreasing and the FIFO analytic
   // bookkeeping is causally valid.
-  sim.heap.reserve(sim.sends.size() + static_cast<std::size_t>(p));
-  for (std::uint32_t i = 0; i < sim.sends.size(); ++i) {
-    const auto s = static_cast<std::size_t>(sim.sends[i].src);
-    sim.schedule(spec.start[s], Stage::Send, i);
+  for (std::uint32_t i = 0; i < ws.sends.size(); ++i) {
+    const auto s = static_cast<std::size_t>(ws.sends[i].src);
+    sim.schedule(start[s], Stage::Send, i);
   }
 
   sim.run();
 
   ExchangeResult result = std::move(sim.result);
-  for (int i = 0; i < p; ++i) {
-    const auto u = static_cast<std::size_t>(i);
+  for (std::size_t u = 0; u < start.size(); ++u) {
     result.nodes[u].cpu_busy = sim.cpu[u].busy_cycles();
     result.nodes[u].tx_busy = sim.tx[u].busy_cycles();
     result.nodes[u].rx_busy = sim.rx[u].busy_cycles();
@@ -293,28 +480,43 @@ ExchangeResult simulate_exchange(const NetworkParams& hw,
   return result;
 }
 
+}  // namespace
+
+ExchangeResult simulate_exchange(const NetworkParams& hw,
+                                 const SoftwareParams& sw,
+                                 const ExchangeSpec& spec) {
+  QSM_REQUIRE(spec.p >= 1, "exchange needs at least one node");
+  QSM_REQUIRE(spec.start.size() == static_cast<std::size_t>(spec.p),
+              "start times must cover every node");
+  WorkspaceLoan loan;
+  Workspace& ws = loan.ws;
+  ws.sends.assign(spec.transfers.begin(), spec.transfers.end());
+  return simulate_sends(hw, sw, spec.start, spec.control, spec.order,
+                        spec.fault_salt, ws);
+}
+
 ExchangeResult simulate_alltoallv(
     const NetworkParams& hw, const SoftwareParams& sw,
     const std::vector<cycles_t>& start,
     const std::vector<std::vector<std::int64_t>>& bytes,
     std::uint64_t fault_salt) {
   const int p = static_cast<int>(start.size());
-  ExchangeSpec spec;
-  spec.p = p;
-  spec.start = start;
-  spec.fault_salt = fault_salt;
   QSM_REQUIRE(bytes.size() == start.size(), "bytes matrix must be p x p");
+  WorkspaceLoan loan;
+  Workspace& ws = loan.ws;
+  ws.sends.clear();
   for (int i = 0; i < p; ++i) {
     const auto& row = bytes[static_cast<std::size_t>(i)];
     QSM_REQUIRE(row.size() == start.size(), "bytes matrix must be p x p");
     for (int j = 0; j < p; ++j) {
       const std::int64_t b = row[static_cast<std::size_t>(j)];
       if (i != j && b > 0) {
-        spec.transfers.push_back(Transfer{i, j, b});
+        ws.sends.push_back(Transfer{i, j, b});
       }
     }
   }
-  return simulate_exchange(hw, sw, spec);
+  return simulate_sends(hw, sw, start, false,
+                        ExchangeSpec::SendOrder::Staggered, fault_salt, ws);
 }
 
 ExchangeResult simulate_alltoallv_sparse(
@@ -323,20 +525,20 @@ ExchangeResult simulate_alltoallv_sparse(
     const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
     std::uint64_t fault_salt) {
   const int p = static_cast<int>(start.size());
-  ExchangeSpec spec;
-  spec.p = p;
-  spec.start = start;
-  spec.fault_salt = fault_salt;
-  spec.transfers.reserve(traffic.size());
+  WorkspaceLoan loan;
+  Workspace& ws = loan.ws;
+  ws.sends.clear();
+  ws.sends.reserve(traffic.size());
   for (const auto& [idx, b] : traffic) {
     QSM_REQUIRE(idx >= 0 && idx < static_cast<std::int64_t>(p) * p,
                 "sparse traffic index out of range");
     const int src = static_cast<int>(idx / p);
     const int dst = static_cast<int>(idx % p);
     QSM_REQUIRE(b > 0, "sparse traffic entries must be positive");
-    spec.transfers.push_back(Transfer{src, dst, b});
+    ws.sends.push_back(Transfer{src, dst, b});
   }
-  return simulate_exchange(hw, sw, spec);
+  return simulate_sends(hw, sw, start, false,
+                        ExchangeSpec::SendOrder::Staggered, fault_salt, ws);
 }
 
 ExchangeResult simulate_control_allgather(const NetworkParams& hw,

@@ -15,7 +15,7 @@
 //
 //   2. Warm open. A warm sweep's first cache probe pays one full
 //      recovery scan (every frame re-CRC'd) and then serves every lookup
-//      from the snapshot index. Measured: recovery records/s through
+//      from the in-memory index. Measured: recovery records/s through
 //      ResultCache (scan + parse + index prime) and warm lookups/s
 //      against the primed index.
 //
@@ -26,14 +26,17 @@
 //      and input records/s.
 //
 // BENCH_store.json mirrors the tables for the CI artifact.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/exec.hpp"
 #include "harness/cache.hpp"
 #include "harness/point.hpp"
 #include "support/cli.hpp"
@@ -41,7 +44,6 @@
 #include "support/durable/record.hpp"
 #include "support/durable/segment_store.hpp"
 #include "support/json.hpp"
-#include "support/snapcache.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -138,11 +140,15 @@ int main(int argc, char** argv) {
   const std::int64_t lookups = quick ? 5000 : args.i64("lookups");
   const int reps = quick ? 1 : static_cast<int>(args.i64("reps"));
   const std::string scratch = args.str("scratch");
+  // Both numbers say what host the rows below came from.
+  const int host_cores =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int thread_budget = rt::host_thread_budget();
 
   std::printf(
-      "== Durable segment store (%zu records, ~%zu-byte values, reps=%d) "
-      "==\n\n",
-      records, value_bytes, reps);
+      "== Durable segment store (%zu records, ~%zu-byte values, reps=%d, "
+      "%d host cores, thread budget %d) ==\n\n",
+      records, value_bytes, reps, host_cores, thread_budget);
 
   // 1. Append throughput per sync policy.
   struct PolicyRow {
@@ -190,15 +196,13 @@ int main(int argc, char** argv) {
     {
       StoreOptions opts;
       opts.sync = SyncPolicy::None;
-      harness::ResultCache seed(cache_dir, "bench_store",
-                                support::snap::Mode::Serial, opts);
+      harness::ResultCache seed(cache_dir, "bench_store", opts);
       for (std::size_t i = 0; i < records; ++i) {
         seed.store_one(keys[i], make_result(i));
       }
     }
     for (int rep = 0; rep < reps; ++rep) {
-      harness::ResultCache cache(cache_dir, "bench_store",
-                                 support::snap::Mode::Serial);
+      harness::ResultCache cache(cache_dir, "bench_store");
       const auto t0 = std::chrono::steady_clock::now();
       QSM_REQUIRE(cache.loaded_entries() == records, "warm open lost records");
       open_s = std::min(open_s, seconds_since(t0));
@@ -271,6 +275,10 @@ int main(int argc, char** argv) {
   json.value(static_cast<std::int64_t>(reps));
   json.key("quick");
   json.value(quick);
+  json.key("host_cores");
+  json.value(static_cast<std::int64_t>(host_cores));
+  json.key("host_thread_budget");
+  json.value(static_cast<std::int64_t>(thread_budget));
   json.key("append");
   json.begin_array();
   for (const PolicyRow& row : policy_rows) {

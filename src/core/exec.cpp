@@ -7,7 +7,6 @@
 
 #include "support/contract.hpp"
 #include "support/fiber.hpp"
-#include "support/snapcache.hpp"
 
 namespace qsm::rt {
 
@@ -65,10 +64,6 @@ int host_thread_budget() {
 void set_host_thread_budget(int threads) {
   g_thread_budget.store(threads > 0 ? threads : 0,
                         std::memory_order_relaxed);
-  // Snapshot caches constructed from here on (Mode::Auto) key their
-  // serial-vs-concurrent choice off the effective budget: a one-thread
-  // process pays zero atomics for cache traffic.
-  support::snap::set_single_thread_process(host_thread_budget() == 1);
 }
 
 LaneMode default_lane_mode() {

@@ -1,19 +1,9 @@
 #include "harness/cache.hpp"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <sstream>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 namespace qsm::harness {
-
-namespace fs = std::filesystem;
 
 std::string cache_file_stem(std::string_view workload) {
   std::string stem;
@@ -26,14 +16,9 @@ std::string cache_file_stem(std::string_view workload) {
 }
 
 ResultCache::ResultCache(std::string dir, std::string workload,
-                         support::snap::Mode mode,
                          support::durable::StoreOptions store_opts)
-    : dir_(std::move(dir)),
-      path_(dir_ + "/" + cache_file_stem(workload) + ".qstore"),
-      legacy_path_(dir_ + "/" + cache_file_stem(workload) + ".jsonl"),
-      mode_(mode),
-      store_(path_, store_opts),
-      index_(support::snap::Options{.mode = mode}) {}
+    : path_(std::move(dir) + "/" + cache_file_stem(workload) + ".qstore"),
+      store_(path_, store_opts) {}
 
 ResultCache::~ResultCache() = default;
 
@@ -207,225 +192,100 @@ std::optional<PointResult> ResultCache::deserialize(
 
 // ---- file I/O -------------------------------------------------------------
 
-void ResultCache::load() {
-  // Concurrent store_one() callers may race to the first use; the load
-  // mutex makes exactly one of them scan the store. Serial mode trusts the
-  // caller's single-thread promise and skips the lock.
-  std::unique_lock<std::mutex> lk(load_mu_, std::defer_lock);
-  if (index_.concurrent()) lk.lock();
+void ResultCache::load_locked() {
   if (loaded_) return;
   loaded_ = true;
-  std::vector<std::pair<std::string, PointResult>> items;
-  std::error_code ec;
-  if (fs::exists(legacy_path_, ec)) {
-    // A flat JSONL from an older build: absorb it into the segment store.
-    migrate_legacy(&items);
-  } else {
-    support::durable::ScanReport rep;
-    auto records = store_.load(&rep);
-    torn_tail_ = rep.torn_tail;
-    corrupt_lines_ = rep.corrupt_events;
-    if (rep.torn_tail || rep.corrupt_events != 0) {
-      std::fprintf(stderr,
-                   "warning: result cache %s: recovered %llu records "
-                   "(%llu corrupt event%s%s)\n",
-                   path_.c_str(),
-                   static_cast<unsigned long long>(rep.records),
-                   static_cast<unsigned long long>(rep.corrupt_events),
-                   rep.corrupt_events == 1 ? "" : "s",
-                   rep.torn_tail ? ", torn tail" : "");
-    }
-    items.reserve(records.size());
-    for (auto& rec : records) {
-      // The frame passed its CRC, so a value that fails to parse is a
-      // writer bug, not disk damage — but tolerate it the same way.
-      const auto doc = support::parse_json(rec.value);
-      const std::optional<PointResult> result =
-          doc ? deserialize(*doc) : std::nullopt;
-      if (result) {
-        items.emplace_back(std::move(rec.key), std::move(*result));
-      } else {
-        corrupt_lines_++;
-        std::fprintf(stderr,
-                     "warning: result cache %s: skipping undecodable "
-                     "record\n",
-                     path_.c_str());
-      }
-    }
-  }
-  // One generation install for the whole log; prime keeps the
-  // last-record-wins rule for duplicated keys.
-  index_.prime(std::move(items));
-}
-
-void ResultCache::migrate_legacy(
-    std::vector<std::pair<std::string, PointResult>>* items) {
-  std::ifstream in(legacy_path_, std::ios::binary);
-  if (!in) return;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const bool terminated = nl != std::string::npos;
-    const std::string_view line(text.data() + pos,
-                                (terminated ? nl : text.size()) - pos);
-    pos = terminated ? nl + 1 : text.size();
-    if (line.empty()) continue;
-    // Same tolerant reader the flat cache always used: a failure on an
-    // unterminated final line is the benign signature of a process killed
-    // mid-append; anywhere else it suggests real corruption. Either way
-    // the point just recomputes.
-    const char* reject = nullptr;
-    const auto doc = support::parse_json(line);
-    if (!doc) {
-      reject = "unparseable";
-    } else {
-      const auto* k = doc->find("k");
-      const auto* r = doc->find("r");
-      if (k == nullptr || r == nullptr ||
-          !k->is(support::JsonValue::Kind::String)) {
-        reject = "missing k/r";
-      } else if (auto result = deserialize(*r)) {
-        items->emplace_back(k->str, std::move(*result));
-      } else {
-        reject = "bad result";
-      }
-    }
-    if (reject != nullptr) {
-      if (!terminated) {
-        torn_tail_ = true;
-      } else {
-        corrupt_lines_++;
-      }
-      std::fprintf(stderr,
-                   "warning: result cache %s: skipping %s %s line\n",
-                   legacy_path_.c_str(), reject,
-                   terminated ? "mid-file" : "torn trailing");
-    }
-  }
-  // Replay into the segment store. The legacy file coexisting with
-  // segments means a previous migration was interrupted — redo it from
-  // scratch (the legacy file is the authority until it is renamed away,
-  // which only happens after the replayed records are synced).
-  std::error_code ec;
-  fs::remove_all(path_, ec);
-  std::optional<support::durable::Written> last;
-  bool io_ok = true;
-  for (const auto& [key, result] : *items) {
-    auto written = store_.append(store_.make(key, serialize(result)));
-    if (!written.has_value()) {
-      io_ok = false;
-      break;
-    }
-    last.emplace(std::move(*written));
-  }
-  if (io_ok && last.has_value()) {
-    // One sync certifies the whole replay (earlier segments were synced
-    // as they sealed).
-    if (auto synced = store_.sync(std::move(*last))) {
-      (void)store_.publish(std::move(*synced));
-    } else {
-      io_ok = false;
-    }
-  }
-  if (io_ok) {
-    fs::rename(legacy_path_, legacy_path_ + ".migrated", ec);
-    if (ec) {
-      std::fprintf(stderr,
-                   "warning: result cache: cannot retire legacy %s: %s\n",
-                   legacy_path_.c_str(), ec.message().c_str());
-    } else {
-      migrated_ = true;
-      std::fprintf(stderr,
-                   "note: result cache: migrated %zu records from %s\n",
-                   items->size(), legacy_path_.c_str());
-    }
-  } else {
-    // Keep the legacy file so the next run retries the replay; the
-    // in-memory view is still correct (it came from the legacy parse).
+  support::durable::ScanReport rep;
+  auto records = store_.load(&rep);
+  torn_tail_ = rep.torn_tail;
+  corrupt_lines_ = rep.corrupt_events;
+  if (rep.torn_tail || rep.corrupt_events != 0) {
     std::fprintf(stderr,
-                 "warning: result cache: migration of %s did not complete; "
-                 "will retry next run\n",
-                 legacy_path_.c_str());
+                 "warning: result cache %s: recovered %llu records "
+                 "(%llu corrupt event%s%s)\n",
+                 path_.c_str(), static_cast<unsigned long long>(rep.records),
+                 static_cast<unsigned long long>(rep.corrupt_events),
+                 rep.corrupt_events == 1 ? "" : "s",
+                 rep.torn_tail ? ", torn tail" : "");
+  }
+  index_.reserve(records.size());
+  for (auto& rec : records) {
+    // The frame passed its CRC, so a value that fails to parse is a
+    // writer bug, not disk damage — but tolerate it the same way.
+    const auto doc = support::parse_json(rec.value);
+    std::optional<PointResult> result = doc ? deserialize(*doc) : std::nullopt;
+    if (result) {
+      // Log order, so the last record for a key wins.
+      index_.insert_or_assign(std::move(rec.key), std::move(*result));
+    } else {
+      corrupt_lines_++;
+      std::fprintf(stderr,
+                   "warning: result cache %s: skipping undecodable record\n",
+                   path_.c_str());
+    }
   }
 }
 
 std::size_t ResultCache::loaded_entries() {
-  load();
-  return index_.view().entries();
+  const std::lock_guard lk(mu_);
+  load_locked();
+  return index_.size();
 }
 
 bool ResultCache::torn_tail() {
-  load();
+  const std::lock_guard lk(mu_);
+  load_locked();
   return torn_tail_;
 }
 
 std::size_t ResultCache::corrupt_lines() {
-  load();
+  const std::lock_guard lk(mu_);
+  load_locked();
   return corrupt_lines_;
 }
 
-bool ResultCache::migrated_legacy() {
-  load();
-  return migrated_;
-}
-
 const PointResult* ResultCache::lookup(const PointKey& key) {
-  load();
-  // Pin the generation the returned pointer lives in: it stays valid until
-  // this consumer's next lookup() or store(), the same contract as the
-  // plain-map implementation. lookup() itself is single-consumer.
-  pinned_ = index_.view();
-  return pinned_.find(key.text);
+  const std::lock_guard lk(mu_);
+  load_locked();
+  // unordered_map nodes never move, so the pointer survives later inserts;
+  // only a supersede of this key (a store) rewrites what it points to.
+  const auto it = index_.find(key.text);
+  return it == index_.end() ? nullptr : &it->second;
 }
 
-void ResultCache::append_record(const PointKey& key,
-                                const PointResult& result) {
-  // Render the record optimistically, outside the writer critical section.
-  const std::string value = serialize(result);
-
-  // Validated append: under the index's writer lock, a key already cached
-  // with a usable result (or this exact result) rejects the store; a
-  // cached *failure row* is superseded by whatever the caller brings
-  // (retry produced something newer) — the replacement record wins on
-  // reload. The typestate pipeline is the commit hook: the index install
-  // only proceeds once the record is Written AND Synced, so memory never
-  // claims more than the disk durably holds. The Synced token escapes to
-  // be redeemed as Indexed after the install (the publish is accounting;
-  // the ordering guarantee was enforced by the hook).
-  std::optional<support::durable::Synced> synced;
-  const bool installed = index_.insert_checked(
-      key.text, result, /*words=*/1,
-      [&result](const PointResult& existing) {
-        return existing.ok() || existing == result;
-      },
-      [this, &key, &value, &synced] {
-        auto written = store_.append(store_.make(key.text, value));
-        if (!written.has_value()) {
-          std::fprintf(stderr, "warning: cannot write result cache %s\n",
-                       path_.c_str());
-          return false;
-        }
-        auto s = store_.sync(std::move(*written));
-        if (!s.has_value()) return false;
-        synced.emplace(std::move(*s));
-        return true;
-      });
-  if (installed && synced.has_value()) {
-    (void)store_.publish(std::move(*synced));
+void ResultCache::store_locked(const PointKey& key,
+                               const PointResult& result) {
+  // A key already cached with a usable result (or this exact result)
+  // skips the store; a cached *failure row* is superseded by whatever the
+  // caller brings (a retry produced something newer), and the replacement
+  // record wins on reload.
+  const auto it = index_.find(key.text);
+  if (it != index_.end() && (it->second.ok() || it->second == result)) return;
+  // The index insert waits until the record is Written and Synced, so
+  // memory never claims more than the disk durably holds.
+  auto written = store_.append(store_.make(key.text, serialize(result)));
+  if (!written.has_value()) {
+    std::fprintf(stderr, "warning: cannot write result cache %s\n",
+                 path_.c_str());
+    return;
   }
+  auto synced = store_.sync(std::move(*written));
+  if (!synced.has_value()) return;
+  index_.insert_or_assign(key.text, result);
+  (void)store_.publish(std::move(*synced));
 }
 
 void ResultCache::store(
     const std::vector<std::pair<PointKey, PointResult>>& batch) {
-  load();
-  for (const auto& [key, result] : batch) append_record(key, result);
+  const std::lock_guard lk(mu_);
+  load_locked();
+  for (const auto& [key, result] : batch) store_locked(key, result);
 }
 
 void ResultCache::store_one(const PointKey& key, const PointResult& result) {
-  load();
-  append_record(key, result);
+  const std::lock_guard lk(mu_);
+  load_locked();
+  store_locked(key, result);
 }
 
 }  // namespace qsm::harness

@@ -11,32 +11,23 @@
 //
 // Robustness contract: every record is framed with a CRC32C and appended
 // with a single write(); the store's typestate pipeline
-// (Pending -> Written -> Synced -> Indexed) makes the in-memory index
-// structurally unable to get ahead of durable state — the snapcache
-// commit hook only succeeds once the record is written *and* synced per
-// the configured SyncPolicy, so a crash at any instant recovers every
-// record the index ever exposed. Reload classifies damage: torn_tail()
-// is the benign crash artifact at the end of the log, corrupt_lines()
-// counts mid-log corruption events (both just recompute the points).
+// (Pending -> Written -> Synced -> Indexed) and the order of a store —
+// append, sync, then index insert — keep the in-memory index from getting
+// ahead of durable state, so a crash at any instant recovers every record
+// the index ever exposed. Reload classifies damage: torn_tail() is the
+// benign crash artifact at the end of the log, corrupt_lines() counts
+// mid-log corruption events (both just recompute the points).
 // Failure rows (PointResult::status set) are cached like results;
 // storing a fresh result for a key whose cached entry is a failure row
 // appends a superseding record (last record wins on reload).
 //
-// Migration: a legacy flat <workload>.jsonl from older builds is
-// absorbed on first load — parsed with the old tolerant reader, replayed
-// into the segment store, then renamed to <workload>.jsonl.migrated. An
-// interrupted migration redoes the replay from the legacy file (which is
-// only renamed after the replayed records are synced).
-//
-// The in-memory index is a snapshot cache (support/snapcache.hpp): the
-// store path is an STM-style validated append — under the writer lock
-// the skip/supersede rule is re-checked against the current generation
-// and the append+sync runs as the commit hook, so the store and the
-// index can never disagree about which writer won a key.
-// store()/store_one() are safe from concurrent sweep jobs (in Concurrent
-// mode); lookup() remains a single-consumer API — it pins the generation
-// its returned pointer lives in until that consumer's next
-// lookup()/store().
+// One mutex guards the index and orders every load and store, so a
+// store's skip-or-supersede check and its append cannot be split by a
+// racing store of the same key. The sweep scheduler does every lookup
+// before any compute and drains its stores one at a time, so the lock is
+// not contended. store()/store_one() are safe from concurrent sweep jobs;
+// lookup() is a single-consumer API whose pointer stays valid until the
+// next store.
 #pragma once
 
 #include <cstddef>
@@ -44,26 +35,22 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "harness/point.hpp"
 #include "support/durable/segment_store.hpp"
 #include "support/json.hpp"
-#include "support/snapcache.hpp"
 
 namespace qsm::harness {
 
 class ResultCache {
  public:
   /// `dir` need not exist yet; it is created on the first store().
-  /// `mode` selects the index's concurrency posture: the sweep scheduler
-  /// passes Serial for one-job runs (zero atomics) and Concurrent when its
-  /// worker pool drains completions from several threads. `store_opts`
-  /// tunes the durable store, most notably the sync policy
+  /// `store_opts` tunes the durable store, most notably the sync policy
   /// (--cache-sync).
   ResultCache(std::string dir, std::string workload,
-              support::snap::Mode mode = support::snap::Mode::Auto,
               support::durable::StoreOptions store_opts = {});
   ~ResultCache();
 
@@ -85,11 +72,6 @@ class ResultCache {
 
   /// The segment-store directory for this workload (<dir>/<stem>.qstore).
   [[nodiscard]] const std::string& path() const { return path_; }
-  /// Where a pre-segment-store flat cache would live; consumed (renamed
-  /// to *.migrated) by the first load that finds it.
-  [[nodiscard]] const std::string& legacy_path() const {
-    return legacy_path_;
-  }
   /// Entries usable after load (diagnostics).
   [[nodiscard]] std::size_t loaded_entries();
   /// True when the log ended in an unterminated record — the signature of
@@ -98,8 +80,6 @@ class ResultCache {
   /// Mid-log corruption events survived on load (these suggest real
   /// damage, unlike a torn tail).
   [[nodiscard]] std::size_t corrupt_lines();
-  /// True when this load absorbed a legacy flat JSONL cache.
-  [[nodiscard]] bool migrated_legacy();
 
   /// The durable store under the index (bench/introspection access).
   [[nodiscard]] support::durable::SegmentStore& durable_store() {
@@ -113,33 +93,21 @@ class ResultCache {
       const support::JsonValue& v);
 
  private:
-  struct TextHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using Index =
-      support::snap::Cache<std::string, PointResult, TextHash,
-                           std::equal_to<>>;
+  /// Loads the store into the index on first use. Caller holds mu_.
+  void load_locked();
+  /// The skip-or-supersede check, then append, sync, index insert and
+  /// publish. Caller holds mu_.
+  void store_locked(const PointKey& key, const PointResult& result);
 
-  void load();
-  void migrate_legacy(
-      std::vector<std::pair<std::string, PointResult>>* items);
-  void append_record(const PointKey& key, const PointResult& result);
-
-  std::string dir_;
-  std::string path_;         ///< segment-store directory
-  std::string legacy_path_;  ///< flat JSONL from older builds
-  support::snap::Mode mode_;
+  std::string path_;  ///< segment-store directory
   support::durable::SegmentStore store_;
-  std::mutex load_mu_;  ///< first-use load (skipped in Serial mode)
+  /// Guards everything below and orders each store's append, sync and
+  /// index insert against every other store and load.
+  std::mutex mu_;
   bool loaded_{false};
   bool torn_tail_{false};
-  bool migrated_{false};
   std::size_t corrupt_lines_{0};
-  Index index_;
-  Index::View pinned_;  ///< generation the last lookup()'s pointer lives in
+  std::unordered_map<std::string, PointResult> index_;
 };
 
 /// Maps a workload id to a safe file stem ([A-Za-z0-9_-], others -> '_').

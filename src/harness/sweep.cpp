@@ -38,16 +38,10 @@ SweepRunner::SweepRunner(RunnerOptions opts) : opts_(std::move(opts)) {
   stats_.jobs = jobs_;
   stats_.phase_workers_per_job = phase_workers_per_job_;
   if (opts_.cache) {
-    // Multi-job sweeps drain completions to the cache from pool threads;
-    // one-job sweeps run everything on this thread and get the zero-atomic
-    // serial index.
     support::durable::StoreOptions store_opts;
     store_opts.sync = opts_.cache_sync;
-    cache_ = std::make_unique<ResultCache>(
-        opts_.cache_dir, opts_.workload,
-        jobs_ > 1 ? support::snap::Mode::Concurrent
-                  : support::snap::Mode::Serial,
-        store_opts);
+    cache_ = std::make_unique<ResultCache>(opts_.cache_dir, opts_.workload,
+                                           store_opts);
   }
 }
 

@@ -40,10 +40,9 @@ constexpr std::size_t kXferEntryWordCap = std::size_t{16} << 20;
 
 Comm::Comm(machine::MachineConfig cfg)
     : cfg_(std::move(cfg)),
-      plan_cache_(support::snap::Options{.max_entries = kPlanCacheCap}),
-      xfer_cache_(support::snap::Options{
-          .max_words = kXferCacheWordCap,
-          .max_entry_words = kXferEntryWordCap}) {
+      plan_cache_({.max_entries = kPlanCacheCap}),
+      xfer_cache_({.max_words = kXferCacheWordCap,
+                   .max_entry_words = kXferEntryWordCap}) {
   cfg_.validate();
 }
 
@@ -70,8 +69,8 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
   key.control = control;
   key.fault_salt = fault_salt;
 
-  if (auto hit = plan_cache_.get(key)) {
-    return shift_result(std::move(*hit), base);
+  if (const auto* hit = plan_cache_.find(key)) {
+    return shift_result(*hit, base);
   }
 
   net::ExchangeResult canonical;
@@ -99,8 +98,8 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
     canonical = net::simulate_exchange(cfg_.net, cfg_.sw, spec);
   }
 
-  // First writer wins; the cache clears itself when the entry cap would be
-  // exceeded (the historical plan-memo policy, now declared in the ctor).
+  // The memo clears itself before the store that would exceed its entry
+  // cap.
   plan_cache_.insert(std::move(key), canonical);
   return shift_result(std::move(canonical), base);
 }
@@ -134,8 +133,8 @@ net::ExchangeResult Comm::alltoallv_flat(
   }
   key.fault_salt = fault_salt;
 
-  if (auto hit = xfer_cache_.get(key)) {
-    return shift_result(std::move(*hit), base);
+  if (const auto* hit = xfer_cache_.find(key)) {
+    return shift_result(*hit, base);
   }
   return xfer_simulate(std::move(key), base);
 }
@@ -181,9 +180,9 @@ net::ExchangeResult Comm::alltoallv_sparse(
   rel_scratch.clear();
   rel_scratch.reserve(up);
   for (const cycles_t s : start) rel_scratch.push_back(s - base);
-  if (auto hit =
-          xfer_cache_.get(XferKeyView{rel_scratch, traffic, fault_salt})) {
-    return shift_result(std::move(*hit), base);
+  if (const auto* hit =
+          xfer_cache_.find(XferKeyView{rel_scratch, traffic, fault_salt})) {
+    return shift_result(*hit, base);
   }
 
   XferKey key;

@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "machine/config.hpp"
+#include "msg/memo.hpp"
 #include "net/barrier.hpp"
 #include "net/exchange.hpp"
-#include "support/snapcache.hpp"
 
 namespace qsm::msg {
 
@@ -103,10 +103,10 @@ class Comm {
 
   /// Memo-cache counters (host diagnostics, never in a trace). Every entry
   /// point probes once per call, so `misses` counts simulations.
-  [[nodiscard]] support::snap::Stats plan_cache_stats() const {
+  [[nodiscard]] MemoStats plan_cache_stats() const {
     return plan_cache_.stats();
   }
-  [[nodiscard]] support::snap::Stats xfer_cache_stats() const {
+  [[nodiscard]] MemoStats xfer_cache_stats() const {
     return xfer_cache_.stats();
   }
 
@@ -195,16 +195,11 @@ class Comm {
                                                   cycles_t base) const;
 
   machine::MachineConfig cfg_;
-  // Pricing runs serially inside a runtime's phase completion. Both memos
-  // are snapshot caches (support/snapcache.hpp): a warm lookup is a
-  // wait-free generation claim, never a mutex. Capacity policy (entry cap
-  // on the plan memo, word cap + oversize skip on the xfer memo) is
-  // declared per cache in the constructor; under a single-thread host
-  // budget both drop to plain in-place maps.
-  mutable support::snap::Cache<PlanKey, net::ExchangeResult, PlanKeyHash>
-      plan_cache_;
-  mutable support::snap::Cache<XferKey, net::ExchangeResult, XferKeyHash,
-                               XferKeyEq>
+  // No lock on either memo: a Comm belongs to one Runtime, which calls it
+  // only from its price stage, and the phase barrier orders one phase's
+  // price stage before the next, whichever carrier thread runs it.
+  mutable BoundedMemo<PlanKey, net::ExchangeResult, PlanKeyHash> plan_cache_;
+  mutable BoundedMemo<XferKey, net::ExchangeResult, XferKeyHash, XferKeyEq>
       xfer_cache_;
 };
 

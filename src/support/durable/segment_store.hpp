@@ -92,7 +92,7 @@ class SegmentStore {
 
   /// Read-only scan of every segment in id order. Returns all parseable
   /// data records in scan order, duplicates included (the caller's index
-  /// applies last-writer-wins, e.g. via snapcache prime()). Never writes:
+  /// applies last-writer-wins by inserting them in order). Never writes:
   /// torn tails are noted in the report and repaired lazily by the first
   /// append. Safe to call repeatedly; each call rescans the directory.
   [[nodiscard]] std::vector<StoreRecord> load(ScanReport* report = nullptr);

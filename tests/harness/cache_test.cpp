@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,94 +115,41 @@ TEST(ResultCache, DuplicateStoresAppendNothing) {
   EXPECT_EQ(store_records(cache.path()), 1u);
 }
 
-/// One legacy flat-cache line, as older builds wrote them.
-std::string legacy_line(const std::string& key, const PointResult& r) {
-  return "{\"h\":\"0000000000000000\",\"k\":\"" + key +
-         "\",\"r\":" + ResultCache::serialize(r) + "}\n";
-}
-
-TEST(ResultCache, LegacyJsonlMigratesOnFirstLoad) {
-  const std::string dir = test_dir("migrate");
+TEST(ResultCache, LeftoverJsonlIsNotLoadedRenamedOrDeleted) {
+  // Older builds kept a flat <workload>.jsonl. The store never reads it,
+  // and never touches it either.
+  const std::string dir = test_dir("leftover_jsonl");
   const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
+  const std::string line = "{\"h\":\"0000000000000000\",\"k\":\"" +
+                           key.text + "\",\"r\":" +
+                           ResultCache::serialize(sample_result()) + "}\n";
   fs::create_directories(dir);
-  {
-    std::ofstream out(dir + "/w.jsonl", std::ios::binary);
-    out << legacy_line("stale", PointResult{});
-    out << legacy_line(key.text, r);
-    out << legacy_line("stale", r);  // duplicate: last line must win
-  }
-  {
-    ResultCache cache(dir, "w");
-    EXPECT_EQ(cache.loaded_entries(), 2u);
-    EXPECT_TRUE(cache.migrated_legacy());
-    const PointResult* hit = cache.lookup(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, r);
-    ASSERT_NE(cache.lookup(PointKey{"stale"}), nullptr);
-    EXPECT_EQ(*cache.lookup(PointKey{"stale"}), r);
-  }
-  // The flat file was retired, the segment store took over, and a fresh
-  // instance reads the same results back from it byte-exactly.
-  EXPECT_FALSE(fs::exists(dir + "/w.jsonl"));
-  EXPECT_TRUE(fs::exists(dir + "/w.jsonl.migrated"));
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 3u);  // dups migrate as-is
-  ResultCache reloaded(dir, "w");
-  EXPECT_EQ(reloaded.loaded_entries(), 2u);
-  EXPECT_FALSE(reloaded.migrated_legacy());
-  ASSERT_NE(reloaded.lookup(key), nullptr);
-  EXPECT_EQ(*reloaded.lookup(key), r);
-}
-
-TEST(ResultCache, InterruptedMigrationRedoesFromLegacyFile) {
-  // Legacy file and segment store coexisting = a migration that died
-  // before the rename. The legacy file is still the authority: the redo
-  // must wipe the partial store, not merge with it.
-  const std::string dir = test_dir("remigrate");
-  const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
-  fs::create_directories(dir);
-  std::ofstream(dir + "/w.jsonl", std::ios::binary)
-      << legacy_line(key.text, r);
-  {
-    support::durable::SegmentStore partial(dir + "/w.qstore", {});
-    auto w = partial.append(partial.make("partial", "{\"m\":{\"z\":1}}"));
-    ASSERT_TRUE(w.has_value());
-  }
+  std::ofstream(dir + "/w.jsonl", std::ios::binary) << line;
   ResultCache cache(dir, "w");
-  EXPECT_EQ(cache.loaded_entries(), 1u);
-  ASSERT_NE(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.lookup(PointKey{"partial"}), nullptr);  // wiped
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 1u);
+  EXPECT_EQ(cache.loaded_entries(), 0u);
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  EXPECT_FALSE(cache.torn_tail());
+  EXPECT_EQ(cache.corrupt_lines(), 0u);
+  ASSERT_TRUE(fs::exists(dir + "/w.jsonl"));
+  EXPECT_FALSE(fs::exists(dir + "/w.jsonl.migrated"));
+  std::ifstream in(dir + "/w.jsonl", std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, line);
 }
 
-TEST(ResultCache, CorruptLegacyLinesAreSkippedNotFatal) {
-  // The migration path keeps the old tolerant reader: damaged lines are
-  // reported and skipped, never fatal, and never reach the new store.
-  const std::string dir = test_dir("corrupt");
+TEST(ResultCache, FailedAppendLeavesTheKeyUncached) {
+  // The cache directory sits under a regular file, so the store cannot
+  // create its segment and every append fails. The index must not claim
+  // a result the disk does not hold.
+  const std::string root = test_dir("failed_append");
+  fs::create_directories(root);
+  std::ofstream(root + "/blocker", std::ios::binary) << "not a directory";
   const PointKey key{"epoch=qsm1;workload=w;n=5"};
-  const PointResult r = sample_result();
-  fs::create_directories(dir);
-  {
-    std::ofstream out(dir + "/w.jsonl", std::ios::binary);
-    out << legacy_line(key.text, r);
-    out << "not json at all\n";
-    out << "{\"h\":\"00\"}\n";                       // missing k/r
-    out << "{\"h\":\"00\",\"k\":\"x\",\"r\":{\"t\":[1]}}\n";  // bad timing
-    out << "{\"h\":\"00\",\"k\":\"y\",\"r\":{\"m\":{\"z\":\"s\"}}}\n";
-    out << "{\"h\":\"00\",\"k\":\"trunc";            // torn final line
-  }
-  ResultCache cache(dir, "w");
-  EXPECT_EQ(cache.loaded_entries(), 1u);
-  EXPECT_TRUE(cache.torn_tail());
-  EXPECT_EQ(cache.corrupt_lines(), 4u);
-  const PointResult* hit = cache.lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, r);
-  EXPECT_EQ(cache.lookup(PointKey{"x"}), nullptr);
-  EXPECT_EQ(cache.lookup(PointKey{"y"}), nullptr);
-  // The redone store holds only the usable record.
-  EXPECT_EQ(store_records(dir + "/w.qstore"), 1u);
+  ResultCache cache(root + "/blocker/cache", "w");
+  cache.store_one(key, sample_result());
+  EXPECT_EQ(cache.lookup(key), nullptr);
+  EXPECT_EQ(cache.loaded_entries(), 0u);
 }
 
 TEST(ResultCache, ReportsTornTailSeparatelyFromMidFileCorruption) {
@@ -347,18 +295,16 @@ TEST(ResultCache, FaultCountersExtendTimingRowsOnlyWhenPresent) {
 }
 
 TEST(ResultCache, ConcurrentStoresAppendEachKeyExactlyOnce) {
-  // Multi-job sweeps drain completions from pool threads. Under
-  // Mode::Concurrent every distinct key must land in the file exactly once
-  // even when racing writers carry the same key, and the file must reload
-  // cleanly (no torn or interleaved lines) — the snapshot index validates
-  // each append against the already-installed generation before the
-  // single write().
+  // Multi-job sweeps drain completions from pool threads. Every distinct
+  // key must land in the file exactly once even when racing writers carry
+  // the same key, and the file must reload cleanly (no torn or interleaved
+  // lines) — each store checks the index and appends under one lock.
   const std::string dir = test_dir("concurrent");
   constexpr int kThreads = 4;
   constexpr int kKeys = 24;
   const PointResult r = sample_result();
   {
-    ResultCache cache(dir, "w", support::snap::Mode::Concurrent);
+    ResultCache cache(dir, "w");
     std::vector<std::thread> writers;
     writers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
@@ -400,7 +346,7 @@ TEST(ResultCache, ConcurrentSupersedeKeepsFileParseable) {
   fail.fail_reason = "transient";
   const PointResult good = sample_result();
   {
-    ResultCache cache(dir, "w", support::snap::Mode::Concurrent);
+    ResultCache cache(dir, "w");
     for (int k = 0; k < kKeys; ++k) {
       cache.store_one(PointKey{"n=" + std::to_string(k)}, fail);
     }

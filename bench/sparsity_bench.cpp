@@ -67,8 +67,12 @@ std::uint64_t sort_n_for(int p) {
 }
 
 /// Times `reps` runs of `run_once` on one long-lived runtime (one warmup
-/// run first: lanes spawn and every phase's exchange pattern lands in the
-/// comm memo, so timed reps measure the pipeline, not first-touch DES).
+/// run first: lanes spawn and the phases' exchange patterns land in the
+/// comm memos, so timed reps measure the pipeline, not first-touch
+/// pricing). A pattern over the xfer memo's per-entry cap is never stored
+/// and is priced again in every rep: listrank's all-pairs count broadcast
+/// at p = 4096 (~33.6M words against the 16M-word cap). Every pattern at
+/// p <= 1024 fits.
 template <typename MakeRuntime, typename RunOnce>
 ModeTiming time_mode(MakeRuntime make_runtime, RunOnce run_once, int reps) {
   auto runtime = make_runtime();

@@ -74,16 +74,14 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
   }
 
   net::ExchangeResult canonical;
-  if (control && fault_salt == 0 &&
-      cfg_.net.topology == net::Topology::FullyConnected &&
-      cfg_.net.fabric_links == 0) {
-    // The per-phase plan exchange: evaluate the complete graph of identical
-    // control messages in closed form — bit-identical to the event
-    // simulation (see simulate_control_allgather) at O(p^2) arithmetic
-    // instead of O(p^2) heap events, so phases with unique arrival patterns
-    // (which can never hit the memo) stay affordable at large p.
-    canonical = net::simulate_control_allgather(cfg_.net, cfg_.sw,
-                                                key.rel_start, bytes_per_node);
+  if (net::uniform_all_pairs_exact(cfg_.net, fault_salt)) {
+    // An allgather is a complete graph of identical messages: its closed
+    // form is bit-identical to the event simulation at O(p^2) arithmetic
+    // instead of O(p^2) heap events, so the per-phase plan exchange stays
+    // affordable at large p even when its arrival pattern is new every
+    // phase (and can never hit the memo).
+    canonical = net::simulate_uniform_all_pairs(
+        cfg_.net, cfg_.sw, key.rel_start, bytes_per_node, control);
   } else {
     net::ExchangeSpec spec;
     spec.p = p;
@@ -193,8 +191,23 @@ net::ExchangeResult Comm::alltoallv_sparse(
 }
 
 net::ExchangeResult Comm::xfer_simulate(XferKey key, cycles_t base) const {
-  auto canonical = net::simulate_alltoallv_sparse(
-      cfg_.net, cfg_.sw, key.rel_start, key.traffic, key.fault_salt);
+  // Both entry points validate the traffic as ascending flat indices off
+  // the diagonal, so p(p-1) entries are exactly the complete graph; if
+  // they also share one byte count, the closed form prices the exchange.
+  const auto p = static_cast<std::int64_t>(cfg_.p);
+  const auto& traffic = key.traffic;
+  const bool uniform =
+      p >= 2 && static_cast<std::int64_t>(traffic.size()) == p * (p - 1) &&
+      std::all_of(traffic.begin(), traffic.end(), [&](const auto& entry) {
+        return entry.second == traffic.front().second;
+      });
+  auto canonical =
+      uniform && net::uniform_all_pairs_exact(cfg_.net, key.fault_salt)
+          ? net::simulate_uniform_all_pairs(cfg_.net, cfg_.sw, key.rel_start,
+                                            traffic.front().second,
+                                            /*control=*/false)
+          : net::simulate_alltoallv_sparse(cfg_.net, cfg_.sw, key.rel_start,
+                                           traffic, key.fault_salt);
 
   // Entries vary wildly in size (a ring keys in O(p), a dense all-to-all in
   // O(p^2)), so the bound is on total stored words, not entry count; the

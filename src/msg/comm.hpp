@@ -56,7 +56,10 @@ class Comm {
   /// nested-matrix form. Memoized by (relative arrival pattern, nonzero
   /// traffic triples) via the same time-translation argument as
   /// allgather(); iterative algorithms whose phases repeat a traffic shape
-  /// pay the event simulation once.
+  /// price it once. A miss on a uniform all-pairs pattern (all p(p-1)
+  /// off-diagonal entries with one byte count) is priced in closed form,
+  /// as allgather() prices its misses; any other miss runs the event
+  /// simulation.
   [[nodiscard]] net::ExchangeResult alltoallv_flat(
       const std::vector<cycles_t>& start,
       const std::vector<std::int64_t>& bytes,
@@ -81,12 +84,14 @@ class Comm {
   /// memoized: simulate_exchange is exactly time-translation invariant
   /// (every resource grant and event time shifts with the start times, and
   /// busy/message/byte totals do not move at all), so the result for a
-  /// given *relative* arrival pattern is simulated once in canonical time
+  /// given *relative* arrival pattern is priced once in canonical time
   /// (min start == 0) and replayed by adding the base offset back. Phases
   /// with repeating arrival shapes — the common case in bulk-synchronous
-  /// programs — skip the event simulation entirely. Bit-identical to the
-  /// unmemoized computation by construction; the golden-determinism suite
-  /// is the oracle.
+  /// programs — skip pricing entirely. A miss, control or data, is priced
+  /// by net::simulate_uniform_all_pairs whenever
+  /// net::uniform_all_pairs_exact holds, and by the event simulation
+  /// otherwise. Bit-identical to the unmemoized event simulation; the
+  /// closed-form oracle tests and the golden-determinism suite check it.
   [[nodiscard]] net::ExchangeResult allgather(
       const std::vector<cycles_t>& start, std::int64_t bytes_per_node,
       bool control = false, std::uint64_t fault_salt = 0) const;

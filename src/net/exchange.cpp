@@ -541,16 +541,22 @@ ExchangeResult simulate_alltoallv_sparse(
                         ExchangeSpec::SendOrder::Staggered, fault_salt, ws);
 }
 
-ExchangeResult simulate_control_allgather(const NetworkParams& hw,
+bool uniform_all_pairs_exact(const NetworkParams& hw,
+                             std::uint64_t fault_salt) {
+  return fault_salt == 0 && hw.topology == Topology::FullyConnected &&
+         hw.fabric_links == 0;
+}
+
+ExchangeResult simulate_uniform_all_pairs(const NetworkParams& hw,
                                           const SoftwareParams& sw,
                                           const std::vector<cycles_t>& start,
-                                          std::int64_t bytes_per_node) {
+                                          std::int64_t bytes, bool control) {
   hw.validate();
   sw.validate();
-  QSM_REQUIRE(hw.topology == Topology::FullyConnected && hw.fabric_links == 0,
-              "analytic allgather requires a fully connected, "
+  QSM_REQUIRE(uniform_all_pairs_exact(hw, 0),
+              "the uniform all-pairs closed form requires a fully connected, "
               "contention-free fabric");
-  QSM_REQUIRE(bytes_per_node >= 0, "negative allgather payload");
+  QSM_REQUIRE(bytes >= 0, "negative transfer size");
   const int p = static_cast<int>(start.size());
   QSM_REQUIRE(p >= 1, "exchange needs at least one node");
   for (cycles_t s : start) {
@@ -566,21 +572,24 @@ ExchangeResult simulate_control_allgather(const NetworkParams& hw,
     return result;
   }
 
-  // Complete graph of p*(p-1) identical control messages. Because every
-  // service duration on a given resource is the same (control_cpu on CPUs,
-  // one wire_time on NICs), the FIFO grant-END sequence of each resource
-  // depends only on the multiset of request times — never on how the DES
-  // breaks ties among equal requests — so the schedule below, which mirrors
-  // the event order of simulate_exchange up to such ties, reproduces its
-  // results exactly. See DESIGN.md §4 for the full argument.
+  // Complete graph of p*(p-1) identical messages. Because every service
+  // duration on a given resource is the same (c on CPUs, one wire_time on
+  // NICs), the FIFO grant-END sequence of each resource depends only on the
+  // multiset of request times — never on how the DES breaks ties among
+  // equal requests — so the schedule below, which mirrors the event order
+  // of simulate_exchange up to such ties, reproduces its results exactly.
+  // See DESIGN.md §4 for the full argument.
   const MsgCost cost{hw, sw};
-  const cycles_t c = cost.control_cpu();
-  const cycles_t w = cost.wire_time(bytes_per_node);
+  const cycles_t c = control ? cost.control_cpu() : cost.send_cpu(bytes);
+  QSM_REQUIRE(control || cost.recv_cpu(bytes) == c,
+              "the closed form needs one CPU grant length for sends and "
+              "receives");
+  const cycles_t w = cost.wire_time(bytes);
   const cycles_t L = hw.latency;
   const cycles_t u = std::max(c, w);  // tx departure spacing per sender
   const std::int64_t n_sends = static_cast<std::int64_t>(p) * (p - 1);
   result.messages = static_cast<std::uint64_t>(n_sends);
-  result.wire_bytes = (bytes_per_node + sw.msg_header_bytes) * n_sends;
+  result.wire_bytes = (bytes + sw.msg_header_bytes) * n_sends;
   for (std::size_t i = 0; i < up; ++i) {
     result.nodes[i].cpu_busy = 2 * static_cast<cycles_t>(p - 1) * c;
     result.nodes[i].tx_busy = static_cast<cycles_t>(p - 1) * w;

@@ -70,7 +70,9 @@ struct ExchangeResult {
   std::uint64_t duplicates{0};  ///< extra copies delivered
 };
 
-/// Simulates the exchange; deterministic for a given spec.
+/// Simulates the exchange event by event; deterministic for a given spec.
+/// This and the two alltoallv forms below never take the closed form, so
+/// tests can use them as its oracle.
 [[nodiscard]] ExchangeResult simulate_exchange(const NetworkParams& hw,
                                                const SoftwareParams& sw,
                                                const ExchangeSpec& spec);
@@ -94,18 +96,26 @@ struct ExchangeResult {
     const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
     std::uint64_t fault_salt = 0);
 
-/// Exact closed-form/fold evaluation of the complete-graph control
-/// allgather (every node sends `bytes_per_node` to every other, control
-/// costs, staggered order) — bit-identical to simulate_exchange on the same
-/// spec, without the event heap. Because every service duration on a given
-/// resource is equal, FIFO grant ends depend only on request-time multisets,
-/// never on tie order, which is what makes the analytic schedule exact.
-/// Requires a fully connected topology and no fabric congestion; callers
-/// fall back to simulate_exchange otherwise. The closed form is exact only
-/// for a fault-free exchange — callers with an active fault salt must use
-/// simulate_exchange.
-[[nodiscard]] ExchangeResult simulate_control_allgather(
+/// True when simulate_uniform_all_pairs reproduces simulate_exchange
+/// exactly on `hw` for an exchange carrying `fault_salt`: a fully connected
+/// topology (one latency for every pair), no fabric congestion (no
+/// resource shared by all senders) and no message faults (salt 0). Callers
+/// take the closed form only when this holds.
+[[nodiscard]] bool uniform_all_pairs_exact(const NetworkParams& hw,
+                                           std::uint64_t fault_salt);
+
+/// Exact closed-form/fold evaluation of a uniform all-pairs exchange:
+/// every ordered pair (i, j != i) sends one message of `bytes` payload in
+/// the staggered order, as control traffic when `control` is set and as
+/// data otherwise. Bit-identical to simulate_exchange on the same spec in
+/// every ExchangeResult field, at O(p) to O(p^2) arithmetic instead of
+/// p(p-1) messages' events. Every grant on a CPU then has one length
+/// (control_cpu, or send_cpu == recv_cpu for data) and every grant on a
+/// NIC another, so FIFO grant ends depend only on request-time multisets,
+/// never on tie order (DESIGN.md §4 gives the argument). Requires
+/// uniform_all_pairs_exact(hw, 0).
+[[nodiscard]] ExchangeResult simulate_uniform_all_pairs(
     const NetworkParams& hw, const SoftwareParams& sw,
-    const std::vector<cycles_t>& start, std::int64_t bytes_per_node);
+    const std::vector<cycles_t>& start, std::int64_t bytes, bool control);
 
 }  // namespace qsm::net

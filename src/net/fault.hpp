@@ -68,7 +68,7 @@ struct FaultParams {
     return message_faults_enabled() || node_faults_enabled();
   }
   /// True if per-message faults (drop/dup/delay) can fire; gates the
-  /// exchange stage machine and the control-allgather closed form.
+  /// exchange stage machine and the uniform all-pairs closed form.
   [[nodiscard]] bool message_faults_enabled() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || delay_prob > 0.0;
   }

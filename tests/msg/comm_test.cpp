@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "machine/presets.hpp"
 
 namespace qsm::msg {
@@ -206,6 +210,104 @@ TEST(Comm, SparseAlltoallvMemoSharesEntriesAcrossEntryPoints) {
   (void)c.alltoallv_sparse(start, other);
   const auto s4 = c.xfer_cache_stats();
   EXPECT_EQ(s4.installs, 2u);
+}
+
+void expect_same_result(const net::ExchangeResult& got,
+                        const net::ExchangeResult& want,
+                        const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(got.finish, want.finish);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+  EXPECT_EQ(got.retries, want.retries);
+  EXPECT_EQ(got.drops, want.drops);
+  EXPECT_EQ(got.duplicates, want.duplicates);
+  ASSERT_EQ(got.nodes.size(), want.nodes.size());
+  for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(got.nodes[i].finish, want.nodes[i].finish);
+    EXPECT_EQ(got.nodes[i].cpu_busy, want.nodes[i].cpu_busy);
+    EXPECT_EQ(got.nodes[i].tx_busy, want.nodes[i].tx_busy);
+    EXPECT_EQ(got.nodes[i].rx_busy, want.nodes[i].rx_busy);
+  }
+}
+
+// A memo miss on a uniform complete graph is priced in closed form; each
+// near miss below must stay on the event simulation. Either way, both
+// alltoallv entry points (and, for uniform traffic, a data allgather) must
+// equal net::simulate_exchange on the same spec in every field, and a
+// repeated call must be a plain memo hit. The payload and the single fabric
+// link are chosen so that each near miss, priced in closed form, would
+// give a different result.
+TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
+  constexpr int p = 6;
+  constexpr std::size_t up = p;
+  constexpr std::int64_t b = 128;
+  struct Case {
+    std::string name;
+    machine::MachineConfig cfg;
+    std::vector<std::int64_t> flat;
+    std::uint64_t salt{0};
+  };
+  std::vector<std::int64_t> uniform(up * up, b);
+  for (std::size_t i = 0; i < up; ++i) uniform[i * up + i] = 0;
+  const auto base = machine::default_sim(p);
+  std::vector<Case> cases;
+  cases.push_back({"uniform", base, uniform});
+  cases.push_back({"one pair bigger", base, uniform});
+  cases.back().flat[1 * up + 4] = 2 * b;
+  cases.push_back({"one pair missing", base, uniform});
+  cases.back().flat[3 * up + 0] = 0;
+  cases.push_back({"message faults", base, uniform, 0x5eedULL});
+  cases.back().cfg.net.fault.drop_prob = 0.2;
+  cases.back().cfg.net.fault.dup_prob = 0.1;
+  cases.back().cfg.net.fault.delay_prob = 0.1;
+  cases.push_back({"ring", base, uniform});
+  cases.back().cfg.net.topology = net::Topology::Ring;
+  cases.push_back({"fabric congestion", base, uniform});
+  cases.back().cfg.net.fabric_links = 1;
+
+  std::vector<support::cycles_t> start(up);
+  for (std::size_t i = 0; i < up; ++i) {
+    start[i] = 1000 + static_cast<support::cycles_t>((i * 929) % 1400);
+  }
+  for (const Case& tc : cases) {
+    net::ExchangeSpec spec;
+    spec.p = p;
+    spec.start = start;
+    spec.fault_salt = tc.salt;
+    std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
+    for (std::size_t i = 0; i < up; ++i) {
+      for (std::size_t j = 0; j < up; ++j) {
+        const std::int64_t bytes = tc.flat[i * up + j];
+        if (bytes == 0) continue;
+        spec.transfers.push_back(
+            {static_cast<int>(i), static_cast<int>(j), bytes});
+        traffic.emplace_back(static_cast<std::int64_t>(i * up + j), bytes);
+      }
+    }
+    const auto want = net::simulate_exchange(tc.cfg.net, tc.cfg.sw, spec);
+
+    const Comm flat_comm(tc.cfg);
+    expect_same_result(flat_comm.alltoallv_flat(start, tc.flat, tc.salt),
+                       want, tc.name + ": flat");
+    const Comm sparse_comm(tc.cfg);
+    expect_same_result(sparse_comm.alltoallv_sparse(start, traffic, tc.salt),
+                       want, tc.name + ": sparse");
+    if (tc.flat == uniform) {
+      const Comm gather_comm(tc.cfg);
+      expect_same_result(
+          gather_comm.allgather(start, b, /*control=*/false, tc.salt), want,
+          tc.name + ": allgather");
+    }
+
+    expect_same_result(sparse_comm.alltoallv_sparse(start, traffic, tc.salt),
+                       want, tc.name + ": repeat");
+    const auto stats = sparse_comm.xfer_cache_stats();
+    EXPECT_EQ(stats.misses, 1u) << tc.name;
+    EXPECT_EQ(stats.hits, 1u) << tc.name;
+    EXPECT_EQ(stats.installs, 1u) << tc.name;
+  }
 }
 
 TEST(Comm, BiggerMachineHasCostlierBarrier) {

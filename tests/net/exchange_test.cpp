@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 namespace qsm::net {
@@ -180,63 +182,94 @@ TEST(Exchange, SparseAlltoallvMatchesDenseMatrix) {
   }
 }
 
-// The analytic control allgather replaces the event heap for the per-phase
-// plan exchange; simulate_exchange on the same complete graph is its
-// oracle. The arrival patterns below drive every evaluation strategy: all
-// branches of the analytic ladder (the O(p) collapsed schedule for sorted
-// low-jitter arrivals, the O(p^2) FIFO fold for unsorted ones, the
-// interference pass for wide spreads) must stay bit-identical to the DES.
-TEST(ControlAllgather, MatchesEventSimulationAcrossArrivalPatterns) {
-  const auto hw = default_hw();
-  const auto sw = default_sw();
-  for (const int p : {2, 3, 4, 8, 16, 33}) {
-    const std::int64_t bytes = 16 * p;
-    const auto up = static_cast<std::size_t>(p);
-    std::vector<std::vector<support::cycles_t>> patterns;
-    const auto ramp = [&](support::cycles_t step) {
-      std::vector<support::cycles_t> s(up);
-      for (std::size_t i = 0; i < up; ++i) {
-        s[i] = static_cast<support::cycles_t>(i) * step;
-      }
-      return s;
-    };
-    patterns.push_back(std::vector<support::cycles_t>(up, 0));  // ties
-    patterns.push_back(ramp(100));    // sorted, tight: collapsed schedule
-    patterns.push_back(ramp(450));    // adjacent gaps near the u boundary
-    patterns.push_back(ramp(5000));   // wide spread: interference pass
-    std::vector<support::cycles_t> spikes(up, 0);
-    for (std::size_t i = 1; i < up; i += 2) spikes[i] = 1900;  // unsorted
-    patterns.push_back(std::move(spikes));
-    std::vector<support::cycles_t> straggler(up, 0);
-    straggler[up - 1] = 50'000;  // one late node past the window
-    patterns.push_back(std::move(straggler));
-    std::vector<support::cycles_t> jitter(up);
-    for (std::size_t i = 0; i < up; ++i) {
-      jitter[i] = static_cast<support::cycles_t>((i * 929) % 1400);
-    }
-    patterns.push_back(std::move(jitter));
+// The closed form replaces the event heap for uniform all-pairs exchanges:
+// the per-phase plan allgather (control) and all-pairs data rounds such as
+// list ranking's count broadcast. simulate_exchange on the same complete
+// graph is its oracle, field for field. The arrival patterns below drive
+// every evaluation strategy: the O(p) collapsed schedule for sorted
+// low-jitter arrivals (taken only when w >= c, which data reaches only on
+// the wide-wire machine), the O(p^2) FIFO fold for unsorted ones, and the
+// interference pass for wide spreads.
+TEST(UniformAllPairs, MatchesEventSimulationAcrossArrivalPatterns) {
+  struct Machine {
+    const char* name;
+    NetworkParams hw;
+    SoftwareParams sw;
+  };
+  std::vector<Machine> machines{{"default", default_hw(), default_sw()}};
+  Machine wide{"wide-wire", default_hw(), default_sw()};
+  wide.hw.gap_cpb = 8.0;  // w >= c for data as well as control
+  wide.hw.overhead = 100;
+  wide.sw.per_message_cpu = 100;
+  wide.sw.copy_cpb = 1.0;
+  machines.push_back(wide);
 
-    for (std::size_t pat = 0; pat < patterns.size(); ++pat) {
-      ExchangeSpec spec;
-      spec.p = p;
-      spec.start = patterns[pat];
-      spec.control = true;
-      for (int i = 0; i < p; ++i) {
-        for (int j = 0; j < p; ++j) {
-          if (i != j) spec.transfers.push_back({i, j, bytes});
+  for (const Machine& m : machines) {
+    for (const bool control : {true, false}) {
+      for (const int p : {2, 3, 4, 8, 16, 33}) {
+        const std::int64_t bytes = 16 * p;
+        const MsgCost cost{m.hw, m.sw};
+        const support::cycles_t c =
+            control ? cost.control_cpu() : cost.send_cpu(bytes);
+        const support::cycles_t u = std::max(c, cost.wire_time(bytes));
+        const auto up = static_cast<std::size_t>(p);
+        std::vector<std::vector<support::cycles_t>> patterns;
+        const auto ramp = [&](support::cycles_t step) {
+          std::vector<support::cycles_t> s(up);
+          for (std::size_t i = 0; i < up; ++i) {
+            s[i] = static_cast<support::cycles_t>(i) * step;
+          }
+          return s;
+        };
+        patterns.push_back(std::vector<support::cycles_t>(up, 0));  // ties
+        patterns.push_back(ramp(100));    // sorted, tight: collapsed schedule
+        patterns.push_back(ramp(450));    // adjacent gaps near a u boundary
+        patterns.push_back(ramp(u));      // adjacent gaps exactly u
+        patterns.push_back(ramp(u + 1));  // one cycle past u
+        patterns.push_back(ramp(5000));   // wide spread: interference pass
+        std::vector<support::cycles_t> spikes(up, 0);
+        for (std::size_t i = 1; i < up; i += 2) spikes[i] = 1900;  // unsorted
+        patterns.push_back(std::move(spikes));
+        std::vector<support::cycles_t> straggler(up, 0);
+        straggler[up - 1] = 50'000;  // one late node past the window
+        patterns.push_back(std::move(straggler));
+        std::vector<support::cycles_t> jitter(up);
+        for (std::size_t i = 0; i < up; ++i) {
+          jitter[i] = static_cast<support::cycles_t>((i * 929) % 1400);
         }
-      }
-      const auto des = simulate_exchange(hw, sw, spec);
-      const auto fast =
-          simulate_control_allgather(hw, sw, patterns[pat], bytes);
-      ASSERT_EQ(des.nodes.size(), fast.nodes.size());
-      EXPECT_EQ(des.finish, fast.finish)
-          << "p=" << p << " pattern=" << pat;
-      EXPECT_EQ(des.messages, fast.messages);
-      EXPECT_EQ(des.wire_bytes, fast.wire_bytes);
-      for (std::size_t i = 0; i < static_cast<std::size_t>(p); ++i) {
-        EXPECT_EQ(des.nodes[i].finish, fast.nodes[i].finish)
-            << "p=" << p << " pattern=" << pat << " node=" << i;
+        patterns.push_back(std::move(jitter));
+
+        for (std::size_t pat = 0; pat < patterns.size(); ++pat) {
+          ExchangeSpec spec;
+          spec.p = p;
+          spec.start = patterns[pat];
+          spec.control = control;
+          for (int i = 0; i < p; ++i) {
+            for (int j = 0; j < p; ++j) {
+              if (i != j) spec.transfers.push_back({i, j, bytes});
+            }
+          }
+          const auto des = simulate_exchange(m.hw, m.sw, spec);
+          const auto fast = simulate_uniform_all_pairs(
+              m.hw, m.sw, patterns[pat], bytes, control);
+          SCOPED_TRACE(std::string(m.name) + (control ? " control" : " data") +
+                       " p=" + std::to_string(p) +
+                       " pattern=" + std::to_string(pat));
+          EXPECT_EQ(des.finish, fast.finish);
+          EXPECT_EQ(des.messages, fast.messages);
+          EXPECT_EQ(des.wire_bytes, fast.wire_bytes);
+          EXPECT_EQ(des.retries, fast.retries);
+          EXPECT_EQ(des.drops, fast.drops);
+          EXPECT_EQ(des.duplicates, fast.duplicates);
+          ASSERT_EQ(des.nodes.size(), fast.nodes.size());
+          for (std::size_t i = 0; i < up; ++i) {
+            SCOPED_TRACE("node " + std::to_string(i));
+            EXPECT_EQ(des.nodes[i].finish, fast.nodes[i].finish);
+            EXPECT_EQ(des.nodes[i].cpu_busy, fast.nodes[i].cpu_busy);
+            EXPECT_EQ(des.nodes[i].tx_busy, fast.nodes[i].tx_busy);
+            EXPECT_EQ(des.nodes[i].rx_busy, fast.nodes[i].rx_busy);
+          }
+        }
       }
     }
   }

@@ -1,6 +1,8 @@
 #include "common.hpp"
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "machine/custom.hpp"
 #include "machine/presets.hpp"
@@ -249,14 +251,24 @@ void emit(const support::TextTable& table, const CommonConfig& cfg) {
 
 std::vector<long long> parse_csv_i64(const std::string& spec) {
   std::vector<long long> out;
+  if (spec.empty()) return out;
   std::size_t pos = 0;
-  while (pos < spec.size()) {
+  while (true) {
     const auto comma = spec.find(',', pos);
-    out.push_back(std::stoll(spec.substr(pos, comma - pos)));
-    if (comma == std::string::npos) break;
+    const std::string item = spec.substr(pos, comma - pos);
+    std::size_t used = 0;
+    try {
+      out.push_back(std::stoll(item, &used));
+    } catch (const std::exception&) {
+      used = 0;  // no number at all, e.g. an empty item in "64,,256"
+    }
+    if (used == 0 || used != item.size()) {
+      throw std::runtime_error(
+          "expected a comma-separated integer list, got '" + spec + "'");
+    }
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 std::vector<std::uint64_t> size_sweep(std::uint64_t lo, std::uint64_t hi,

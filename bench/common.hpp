@@ -110,8 +110,9 @@ void print_preamble(const std::string& title, const CommonConfig& cfg,
 /// Writes the table to stdout and, when cfg.csv is non-empty, to that file.
 void emit(const support::TextTable& table, const CommonConfig& cfg);
 
-/// Parses a comma-separated integer list ("1,8,32") — the multiplier
-/// flags of the latency/overhead sweeps.
+/// Parses a comma-separated integer list ("1,8,32") — the processor and
+/// multiplier flags of the sweeps. An empty spec is an empty list; an item
+/// that is not a whole integer throws std::runtime_error quoting the list.
 [[nodiscard]] std::vector<long long> parse_csv_i64(const std::string& spec);
 
 /// Geometric sweep of problem sizes [lo, hi] multiplying by `factor`.

@@ -35,131 +35,24 @@ void push_span(std::vector<LocSpan>& spans, std::uint32_t array,
 
 }  // namespace
 
-TrafficMode traffic_mode_from_string(const std::string& name) {
-  if (name == "auto") return TrafficMode::Auto;
-  if (name == "sparse") return TrafficMode::Sparse;
-  if (name == "dense") return TrafficMode::Dense;
-  throw support::ContractViolation(
-      "unknown traffic mode '" + name + "' (want auto, sparse, or dense)",
-      std::source_location::current());
-}
-
-const char* traffic_mode_name(TrafficMode mode) {
-  switch (mode) {
-    case TrafficMode::Auto:
-      return "auto";
-    case TrafficMode::Sparse:
-      return "sparse";
-    case TrafficMode::Dense:
-      return "dense";
-  }
-  return "?";
-}
-
 PhasePipeline::PhasePipeline(SharedStore& store, const msg::Comm& comm,
                              Executor& exec, bool check_rules,
-                             bool track_kappa, TrafficMode traffic)
+                             bool track_kappa)
     : store_(store),
       comm_(comm),
       exec_(exec),
       check_rules_(check_rules),
-      track_kappa_(track_kappa),
-      traffic_(traffic) {
+      track_kappa_(track_kappa) {
   const auto up = static_cast<std::size_t>(comm_.nprocs());
-  // O(p) state only; the p x p dense matrices are allocated on the first
-  // dense phase (see ensure_dense_scratch) so sparse-only runs at large p
-  // never pay their footprint.
+  rows_.resize(up);
+  counters_.resize(
+      static_cast<std::size_t>(std::max(1, exec_.phase_workers())));
   local_w_.resize(up);
   get_row_.resize(up);
   recv_w_.resize(up);
+  reply_off_.resize(up + 1);
   t_ready_.resize(up);
   t_done_.resize(up);
-  row_off_.resize(up + 1);
-  row_len_.resize(up);
-  run_off_.resize(up + 1);
-  run_len_.resize(up);
-  owner_off_.resize(up + 1);
-  owner_cursor_.resize(up);
-}
-
-void PhasePipeline::ensure_dense_scratch() {
-  if (dense_ready_) return;
-  const auto up = static_cast<std::size_t>(comm_.nprocs());
-  put_w_.resize(up * up);
-  get_w_.resize(up * up);
-  bytes1_.resize(up * up);
-  bytes2_.resize(up * up);
-  dense_ready_ = true;
-}
-
-void PhasePipeline::decide_mode(const std::vector<NodeState>& nodes) {
-  const int p = comm_.nprocs();
-  const auto up = nodes.size();
-
-  sparse_phase_ = false;
-  if (p <= 1 || traffic_ == TrafficMode::Dense) return;
-
-  // Density bound: every request contributes owner_span_bound() active
-  // pairs at most, so the sum (capped at p per source) bounds the phase's
-  // active (source, owner) pairs. Auto takes the dense fallback when the
-  // bound exceeds p^2/4 — and short-circuits on the request count alone
-  // (each request contributes at least one pair to the bound), so an
-  // all-to-all phase decides in O(p) without walking its p^2 requests.
-  const auto cap = static_cast<std::uint64_t>(p) *
-                   static_cast<std::uint64_t>(p) / 4;
-  if (traffic_ == TrafficMode::Auto) {
-    std::uint64_t requests = 0;
-    for (const NodeState& nd : nodes) {
-      requests += nd.puts.size() + nd.gets.size();
-    }
-    if (requests > cap) return;
-  }
-
-  std::uint64_t est = 0;
-  for (std::size_t i = 0; i < up; ++i) {
-    const NodeState& nd = nodes[i];
-    std::uint64_t pairs = 0;
-    std::uint64_t put_runs = 0;
-    for (const PutReq& rq : nd.puts) {
-      const ArraySlot& s = store_.slot_unchecked(rq.array);
-      pairs += store_.owner_span_bound(s, rq.start, rq.count);
-      // Run bound: Block runs == owners touched; Cyclic one strided run
-      // per owner; Hashed one single-word run per word.
-      put_runs += s.layout == Layout::Hashed
-                      ? rq.count
-                      : store_.owner_span_bound(s, rq.start, rq.count);
-    }
-    for (const GetReq& rq : nd.gets) {
-      pairs += store_.owner_span_bound(store_.slot_unchecked(rq.array),
-                                       rq.start, rq.count);
-    }
-    const auto row_cap =
-        std::min<std::uint64_t>(pairs, static_cast<std::uint64_t>(p));
-    row_off_[i + 1] = row_cap;   // caps for now; prefix-summed below
-    run_off_[i + 1] = put_runs;
-    est += row_cap;
-    if (traffic_ == TrafficMode::Auto && est > cap) return;
-  }
-
-  sparse_phase_ = true;
-  row_off_[0] = 0;
-  run_off_[0] = 0;
-  active_src_.clear();
-  for (std::size_t i = 0; i < up; ++i) {
-    row_off_[i + 1] += row_off_[i];
-    run_off_[i + 1] += run_off_[i];
-    row_len_[i] = 0;
-    run_len_[i] = 0;
-    if (!nodes[i].puts.empty() || !nodes[i].gets.empty()) {
-      active_src_.push_back(static_cast<int>(i));
-    }
-  }
-  if (entries_.size() < row_off_[up]) entries_.resize(row_off_[up]);
-  if (runs_.size() < run_off_[up]) runs_.resize(run_off_[up]);
-  if (counters_.empty()) {
-    counters_.resize(static_cast<std::size_t>(
-        std::max(1, exec_.phase_workers())));
-  }
 }
 
 PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
@@ -177,13 +70,6 @@ PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
 
   const bool spread =
       exec_.parallel_enabled() && total_words >= kSpreadWordThreshold;
-
-  decide_mode(nodes);
-  if (sparse_phase_) {
-    ++sparse_phases_;
-  } else {
-    ++dense_phases_;
-  }
 
   classify(nodes, spread);
   check_rules_and_kappa(nodes, ps);
@@ -205,40 +91,17 @@ PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
   return ps;
 }
 
-void PhasePipeline::classify(std::vector<NodeState>& nodes, bool spread) {
-  if (sparse_phase_) {
-    classify_sparse(nodes, spread);
-    return;
+void PhasePipeline::classify(const std::vector<NodeState>& nodes,
+                             bool spread) {
+  const auto up = nodes.size();
+  active_src_.clear();
+  for (std::size_t i = 0; i < up; ++i) {
+    rows_[i].clear();
+    local_w_[i] = 0;
+    if (!nodes[i].puts.empty() || !nodes[i].gets.empty()) {
+      active_src_.push_back(static_cast<int>(i));
+    }
   }
-  ensure_dense_scratch();
-  const auto up = nodes.size();
-  exec_.parallel(up, spread, [&](std::size_t i) {
-    NodeState& nd = nodes[i];
-    std::uint64_t* pw = put_w_.data() + i * up;
-    std::uint64_t* gw = get_w_.data() + i * up;
-    std::fill(pw, pw + up, 0);
-    std::fill(gw, gw + up, 0);
-
-    for (const PutReq& rq : nd.puts) {
-      store_.accumulate_owner_counts(store_.slot_unchecked(rq.array),
-                                     rq.start, rq.count, pw);
-    }
-    for (const GetReq& rq : nd.gets) {
-      store_.accumulate_owner_counts(store_.slot_unchecked(rq.array),
-                                     rq.start, rq.count, gw);
-    }
-    // Words whose owner is the requesting node never touch the network.
-    local_w_[i] = pw[i] + gw[i];
-    pw[i] = 0;
-    gw[i] = 0;
-  });
-}
-
-void PhasePipeline::classify_sparse(std::vector<NodeState>& nodes,
-                                    bool spread) {
-  const auto up = nodes.size();
-  const int p = static_cast<int>(up);
-  std::fill(local_w_.begin(), local_w_.end(), 0);
 
   // Shard over the active sources only. Counter state is per worker shard
   // (see Executor::worker_shard): tasks sharing a shard never run
@@ -246,98 +109,40 @@ void PhasePipeline::classify_sparse(std::vector<NodeState>& nodes,
   // are independent of the shard assignment.
   exec_.parallel(active_src_.size(), spread, [&](std::size_t t) {
     const auto i = static_cast<std::size_t>(active_src_[t]);
-    NodeState& nd = nodes[i];
-    SparseCounter& ctr =
+    const NodeState& nd = nodes[i];
+    OwnerCounter& ctr =
         counters_[static_cast<std::size_t>(exec_.worker_shard(t))];
     ctr.begin(up);
-
-    const auto p64 = static_cast<std::uint64_t>(up);
-    std::size_t rpos = run_off_[i];
     for (const PutReq& rq : nd.puts) {
-      const ArraySlot& s = store_.slot_unchecked(rq.array);
-      const auto src = static_cast<std::uint32_t>(i);
-      switch (s.layout) {
-        case Layout::Block:
-          store_.for_each_block_run(
-              s, rq.start, rq.count,
-              [&](int o, std::uint64_t begin, std::uint64_t len) {
-                ctr.add_put(o, len);
-                runs_[rpos++] =
-                    PutRun{src, rq.array, o, begin,
-                           rq.buf_offset + (begin - rq.start), len, 1};
-              });
-          break;
-        case Layout::Cyclic: {
-          // One strided run per owner with any word: owner of index
-          // rq.start + t2 for t2 < min(count, p), holding every p-th word
-          // from there.
-          const std::uint64_t lim = std::min(rq.count, p64);
-          for (std::uint64_t t2 = 0; t2 < lim; ++t2) {
-            const std::uint64_t first = rq.start + t2;
-            const int o = static_cast<int>(first % p64);
-            const std::uint64_t words = (rq.count - t2 + p64 - 1) / p64;
-            ctr.add_put(o, words);
-            runs_[rpos++] = PutRun{src, rq.array, o, first,
-                                   rq.buf_offset + t2, words, p64};
-          }
-          break;
-        }
-        case Layout::Hashed:
-          for (std::uint64_t k = rq.start; k < rq.start + rq.count; ++k) {
-            const int o = static_cast<int>(hash_index(k, s.salt) % p64);
-            ctr.add_put(o, 1);
-            runs_[rpos++] = PutRun{src, rq.array, o, k,
-                                   rq.buf_offset + (k - rq.start), 1, 1};
-          }
-          break;
-      }
+      store_.for_each_owner(store_.slot_unchecked(rq.array), rq.start,
+                            rq.count, [&](int o, std::uint64_t words) {
+                              ctr.add_put(o, words);
+                            });
     }
     for (const GetReq& rq : nd.gets) {
-      const ArraySlot& s = store_.slot_unchecked(rq.array);
-      switch (s.layout) {
-        case Layout::Block:
-          store_.for_each_block_run(
-              s, rq.start, rq.count,
-              [&](int o, std::uint64_t, std::uint64_t len) {
-                ctr.add_get(o, len);
-              });
-          break;
-        case Layout::Cyclic: {
-          const std::uint64_t lim = std::min(rq.count, p64);
-          for (std::uint64_t t2 = 0; t2 < lim; ++t2) {
-            const std::uint64_t first = rq.start + t2;
-            ctr.add_get(static_cast<int>(first % p64),
-                        (rq.count - t2 + p64 - 1) / p64);
-          }
-          break;
-        }
-        case Layout::Hashed:
-          for (std::uint64_t k = rq.start; k < rq.start + rq.count; ++k) {
-            ctr.add_get(static_cast<int>(hash_index(k, s.salt) % p64), 1);
-          }
-          break;
-      }
+      store_.for_each_owner(store_.slot_unchecked(rq.array), rq.start,
+                            rq.count, [&](int o, std::uint64_t words) {
+                              ctr.add_get(o, words);
+                            });
     }
-    run_len_[i] = static_cast<std::uint32_t>(rpos - run_off_[i]);
 
-    // Emit the source's row owner-ascending (the order the dense matrix
-    // walk visits them, so price() extracts identical traffic lists).
-    std::sort(ctr.touched.begin(), ctr.touched.end());
-    const int self = static_cast<int>(i);
-    std::size_t epos = row_off_[i];
+    // The walk visits each request's owners ascending (Block, Cyclic), so
+    // a source whose requests ascend — every collective's row, list
+    // ranking's all-pairs count broadcast — needs no sort.
+    if (!std::is_sorted(ctr.touched.begin(), ctr.touched.end())) {
+      std::sort(ctr.touched.begin(), ctr.touched.end());
+    }
+    std::vector<OwnerTraffic>& row = rows_[i];
     for (const int o : ctr.touched) {
       const auto uo = static_cast<std::size_t>(o);
-      if (o == self) {
+      if (uo == i) {
+        // Words whose owner is the requesting node never touch the network.
         local_w_[i] = ctr.put_w[uo] + ctr.get_w[uo];
         continue;
       }
-      entries_[epos++] = OwnerTraffic{o, ctr.put_w[uo], ctr.get_w[uo]};
+      row.push_back(OwnerTraffic{o, ctr.put_w[uo], ctr.get_w[uo]});
     }
-    row_len_[i] = static_cast<std::uint32_t>(epos - row_off_[i]);
-    QSM_ASSERT(epos <= row_off_[i + 1] && rpos <= run_off_[i + 1],
-               "sparse classify overflowed its pre-pass bound");
   });
-  (void)p;
 }
 
 void PhasePipeline::check_rules_and_kappa(const std::vector<NodeState>& nodes,
@@ -410,14 +215,12 @@ void PhasePipeline::check_rules_and_kappa(const std::vector<NodeState>& nodes,
 }
 
 void PhasePipeline::move_data(std::vector<NodeState>& nodes, bool spread) {
-  const auto up = nodes.size();
-
   // Gets first: reads see pre-phase values. Each node's destination buffers
   // are private to it, so requesting nodes proceed in parallel; the stage
   // boundary below is a pool barrier, so no put lands before a get reads.
-  // Sparse phases shard over the active sources only.
-  const auto copy_gets = [&](std::size_t i) {
-    for (const GetReq& rq : nodes[i].gets) {
+  exec_.parallel(active_src_.size(), spread, [&](std::size_t t) {
+    const NodeState& nd = nodes[static_cast<std::size_t>(active_src_[t])];
+    for (const GetReq& rq : nd.gets) {
       const ArraySlot& s = store_.slot_unchecked(rq.array);
       const std::uint64_t* src = s.data.data() + rq.start;
       if (rq.elem_size == sizeof(std::uint64_t)) {
@@ -428,22 +231,15 @@ void PhasePipeline::move_data(std::vector<NodeState>& nodes, bool spread) {
         }
       }
     }
-  };
-  if (sparse_phase_) {
-    exec_.parallel(active_src_.size(), spread, [&](std::size_t t) {
-      copy_gets(static_cast<std::size_t>(active_src_[t]));
-    });
-    move_puts_sparse(nodes, spread);
-    return;
-  }
-  exec_.parallel(up, spread, copy_gets);
+  });
 
   // Puts apply serially, whole requests in rank-major enqueue order, so the
   // last writer in that order wins. The copies are O(words) and memory
-  // bound; partitioning them by owner for the worker pool would take a pass
-  // over every request per owner — O(p × requests), ~10^9 steps for an
-  // all-pairs phase at p = 1024.
-  for (auto& nd : nodes) {
+  // bound. Moving them per owner on the worker pool would first split every
+  // request into per-owner runs (one per word under Hashed); the repo
+  // benchmark measured no gain from doing so.
+  for (const int i : active_src_) {
+    const NodeState& nd = nodes[static_cast<std::size_t>(i)];
     for (const PutReq& rq : nd.puts) {
       ArraySlot& s = store_.slot_unchecked(rq.array);
       std::memcpy(s.data.data() + rq.start, nd.put_buf.data() + rq.buf_offset,
@@ -452,130 +248,43 @@ void PhasePipeline::move_data(std::vector<NodeState>& nodes, bool spread) {
   }
 }
 
-void PhasePipeline::move_puts_sparse(std::vector<NodeState>& nodes,
-                                     bool spread) {
-  // Stable counting sort of the classify-stage put runs by owner. Sources
-  // emitted their runs rank-major into source-contiguous arena regions, so
-  // walking those regions in rank order and scattering stably gives every
-  // owner its runs in (source rank, enqueue order, ascending index) order —
-  // the serial last-writer-wins resolution order projected onto that owner.
-  std::uint64_t total_runs = 0;
-  for (const int i : active_src_) {
-    total_runs += run_len_[static_cast<std::size_t>(i)];
-  }
-  if (total_runs == 0) return;
-
-  const auto up = nodes.size();
-  std::fill(owner_off_.begin(), owner_off_.end(), 0);
-  for (const int i : active_src_) {
-    const auto ui = static_cast<std::size_t>(i);
-    for (std::size_t r = run_off_[ui]; r < run_off_[ui] + run_len_[ui]; ++r) {
-      owner_off_[static_cast<std::size_t>(runs_[r].owner) + 1]++;
-    }
-  }
-  active_owner_.clear();
-  for (std::size_t j = 0; j < up; ++j) {
-    if (owner_off_[j + 1] > 0) active_owner_.push_back(static_cast<int>(j));
-    owner_off_[j + 1] += owner_off_[j];
-    owner_cursor_[j] = owner_off_[j];
-  }
-  if (owner_runs_.size() < total_runs) owner_runs_.resize(total_runs);
-  for (const int i : active_src_) {
-    const auto ui = static_cast<std::size_t>(i);
-    for (std::size_t r = run_off_[ui]; r < run_off_[ui] + run_len_[ui]; ++r) {
-      owner_runs_[owner_cursor_[static_cast<std::size_t>(runs_[r].owner)]++] =
-          runs_[r];
-    }
-  }
-
-  // Owners write disjoint locations, so active owners proceed in parallel;
-  // a strided copy executes each run in ascending index order.
-  exec_.parallel(active_owner_.size(), spread, [&](std::size_t t) {
-    const auto j = static_cast<std::size_t>(active_owner_[t]);
-    for (std::size_t r = owner_off_[j]; r < owner_off_[j + 1]; ++r) {
-      const PutRun& run = owner_runs_[r];
-      ArraySlot& s = store_.slot_unchecked(run.array);
-      const std::uint64_t* src =
-          nodes[run.src].put_buf.data() + run.buf_begin;
-      std::uint64_t* dst = s.data.data() + run.dst_begin;
-      if (run.stride == 1) {
-        std::memcpy(dst, src, run.words * sizeof(std::uint64_t));
-      } else {
-        for (std::uint64_t k = 0; k < run.words; ++k) {
-          dst[k * run.stride] = src[k * run.stride];
-        }
-      }
-    }
-  });
-}
-
 void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
   const int p = comm_.nprocs();
   const auto up = static_cast<std::size_t>(p);
   const auto& sw = comm_.config().sw;
 
-  // One fused pass over the phase's traffic — the p x p word matrices in
-  // dense form, the CSR rows in sparse form: per-row stats, the round-1
-  // wire bytes, and the per-owner received-word column sums. Both forms
-  // visit the same nonzero counts in the same source-major, owner-ascending
-  // order and add the same integers, so every derived number (and every
-  // collective's memo key) is identical between them.
+  // One fused pass over the rows, source-major and owner-ascending: per-row
+  // stats, the round-1 traffic list (ascending flat index, as
+  // alltoallv_sparse requires), the per-owner received-word column sums,
+  // and the per-owner count of get replies for round 2.
   std::uint64_t total_get_words = 0;
   std::uint64_t total_remote = 0;
-  bool any1 = false;
   std::fill(recv_w_.begin(), recv_w_.end(), 0);
-  if (sparse_phase_) {
-    traffic1_.clear();
-    for (std::size_t i = 0; i < up; ++i) {
-      std::uint64_t put_i = 0;
-      std::uint64_t get_i = 0;
-      for (std::size_t e = row_off_[i]; e < row_off_[i] + row_len_[i]; ++e) {
-        const OwnerTraffic& ot = entries_[e];
-        const auto j = static_cast<std::size_t>(ot.owner);
-        put_i += ot.put_w;
-        get_i += ot.get_w;
-        total_get_words += ot.get_w;
-        recv_w_[j] += ot.put_w + ot.get_w;
-        const std::int64_t b1 =
-            static_cast<std::int64_t>(ot.put_w) * sw.put_record_bytes +
-            static_cast<std::int64_t>(ot.get_w) * sw.get_request_bytes;
-        if (b1 > 0) {
-          traffic1_.emplace_back(
-              static_cast<std::int64_t>(i * up + j), b1);
-        }
+  std::fill(reply_off_.begin(), reply_off_.end(), 0);
+  traffic1_.clear();
+  for (std::size_t i = 0; i < up; ++i) {
+    std::uint64_t put_i = 0;
+    std::uint64_t get_i = 0;
+    for (const OwnerTraffic& ot : rows_[i]) {
+      const auto j = static_cast<std::size_t>(ot.owner);
+      put_i += ot.put_w;
+      get_i += ot.get_w;
+      recv_w_[j] += ot.put_w + ot.get_w;
+      if (ot.get_w > 0) ++reply_off_[j + 1];
+      const std::int64_t b1 =
+          static_cast<std::int64_t>(ot.put_w) * sw.put_record_bytes +
+          static_cast<std::int64_t>(ot.get_w) * sw.get_request_bytes;
+      if (b1 > 0) {
+        traffic1_.emplace_back(static_cast<std::int64_t>(i * up + j), b1);
       }
-      get_row_[i] = get_i;
-      total_remote += put_i + get_i;
-      ps.m_rw_max = std::max(ps.m_rw_max, put_i + get_i);
-      ps.max_put_words = std::max(ps.max_put_words, put_i);
-      ps.max_get_words = std::max(ps.max_get_words, get_i);
-      ps.local_words += local_w_[i];
     }
-    any1 = !traffic1_.empty();
-  } else {
-    for (std::size_t i = 0; i < up; ++i) {
-      std::uint64_t put_i = 0;
-      std::uint64_t get_i = 0;
-      for (std::size_t j = 0; j < up; ++j) {
-        const std::uint64_t pw = put_w_[i * up + j];
-        const std::uint64_t gw = get_w_[i * up + j];
-        put_i += pw;
-        get_i += gw;
-        total_get_words += gw;
-        recv_w_[j] += pw + gw;
-        const std::int64_t b1 =
-            static_cast<std::int64_t>(pw) * sw.put_record_bytes +
-            static_cast<std::int64_t>(gw) * sw.get_request_bytes;
-        bytes1_[i * up + j] = b1;
-        any1 = any1 || b1 > 0;
-      }
-      get_row_[i] = get_i;
-      total_remote += put_i + get_i;
-      ps.m_rw_max = std::max(ps.m_rw_max, put_i + get_i);
-      ps.max_put_words = std::max(ps.max_put_words, put_i);
-      ps.max_get_words = std::max(ps.max_get_words, get_i);
-      ps.local_words += local_w_[i];
-    }
+    get_row_[i] = get_i;
+    total_get_words += get_i;
+    total_remote += put_i + get_i;
+    ps.m_rw_max = std::max(ps.m_rw_max, put_i + get_i);
+    ps.max_put_words = std::max(ps.max_put_words, put_i);
+    ps.max_get_words = std::max(ps.max_get_words, get_i);
+    ps.local_words += local_w_[i];
   }
   ps.rw_total = total_remote;
 
@@ -625,6 +334,23 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
     }
   }
 
+  if (total_get_words > 0) {
+    // Round 2's list is owner-major. A stable counting pass by owner over
+    // the source-major rows lays it out ascending in O(entries + p),
+    // without a comparison sort.
+    for (std::size_t j = 0; j < up; ++j) reply_off_[j + 1] += reply_off_[j];
+    traffic2_.resize(reply_off_[up]);
+    for (std::size_t i = 0; i < up; ++i) {
+      for (const OwnerTraffic& ot : rows_[i]) {
+        if (ot.get_w == 0) continue;
+        const auto j = static_cast<std::size_t>(ot.owner);
+        traffic2_[reply_off_[j]++] = {
+            static_cast<std::int64_t>(j * up + i),
+            static_cast<std::int64_t>(ot.get_w) * sw.get_reply_bytes};
+      }
+    }
+  }
+
   t_done_ = t_ready_;
   if (p > 1) {
     // Pricing rounds, wrapped in the phase-replay loop: bulk-synchronous
@@ -667,16 +393,10 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
       t_plan_.resize(up);
       for (std::size_t i = 0; i < up; ++i) t_plan_[i] = plan.nodes[i].finish;
 
-      // Round 1: put data and get requests. Both forms hand the collective
-      // layer the same nonzero (flat index, bytes) list — the sparse entry
-      // point just skips materializing the matrix — so the memoized results
-      // are shared and identical.
+      // Round 1: put data and get requests.
       t1_ = t_plan_;
-      if (any1) {
-        const auto r1 =
-            sparse_phase_
-                ? comm_.alltoallv_sparse(t_plan_, traffic1_, salt_r1)
-                : comm_.alltoallv_flat(t_plan_, bytes1_, salt_r1);
+      if (!traffic1_.empty()) {
+        const auto r1 = comm_.alltoallv_sparse(t_plan_, traffic1_, salt_r1);
         ps.messages += r1.messages;
         ps.wire_bytes += r1.wire_bytes;
         ps.retries += r1.retries;
@@ -692,36 +412,11 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
         t2_[j] += static_cast<cycles_t>(recv_w_[j]) * sw.per_apply_cpu;
       }
 
-      // Round 2: get replies travel back (owner j -> requester i, so the
-      // flat index transposes to j*p + i).
+      // Round 2: get replies travel back (owner j -> requester i, flat
+      // index j*p + i).
       t_done_ = t2_;
       if (total_get_words > 0) {
-        net::ExchangeResult r2;
-        if (sparse_phase_) {
-          traffic2_.clear();
-          for (std::size_t i = 0; i < up; ++i) {
-            for (std::size_t e = row_off_[i]; e < row_off_[i] + row_len_[i];
-                 ++e) {
-              const OwnerTraffic& ot = entries_[e];
-              if (ot.get_w == 0) continue;
-              traffic2_.emplace_back(
-                  static_cast<std::int64_t>(ot.owner) * p +
-                      static_cast<std::int64_t>(i),
-                  static_cast<std::int64_t>(ot.get_w) * sw.get_reply_bytes);
-            }
-          }
-          std::sort(traffic2_.begin(), traffic2_.end());
-          r2 = comm_.alltoallv_sparse(t2_, traffic2_, salt_r2);
-        } else {
-          for (std::size_t i = 0; i < up; ++i) {
-            for (std::size_t j = 0; j < up; ++j) {
-              bytes2_[j * up + i] =
-                  static_cast<std::int64_t>(get_w_[i * up + j]) *
-                  sw.get_reply_bytes;
-            }
-          }
-          r2 = comm_.alltoallv_flat(t2_, bytes2_, salt_r2);
-        }
+        const auto r2 = comm_.alltoallv_sparse(t2_, traffic2_, salt_r2);
         ps.messages += r2.messages;
         ps.wire_bytes += r2.wire_bytes;
         ps.retries += r2.retries;

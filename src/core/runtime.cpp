@@ -149,8 +149,7 @@ Runtime::Runtime(machine::MachineConfig cfg, Options opts)
       opts_(opts),
       store_(opts.seed, comm_.nprocs()),
       exec_(comm_.nprocs(), opts.host_workers, opts.lanes),
-      pipeline_(store_, comm_, exec_, opts.check_rules, opts.track_kappa,
-                opts.traffic),
+      pipeline_(store_, comm_, exec_, opts.check_rules, opts.track_kappa),
       nodes_(static_cast<std::size_t>(comm_.nprocs())),
       watchdog_(support::pending_watchdog()),
       barrier_(std::make_unique<Barrier>(exec_)) {

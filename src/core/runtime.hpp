@@ -66,6 +66,9 @@ struct GlobalArray {
   [[nodiscard]] bool valid() const { return id != UINT32_MAX; }
 };
 
+/// Runtime options. `seed`, `check_rules` and `track_kappa` define the run;
+/// `host_workers` and `lanes` only choose how the host executes it, and no
+/// value of theirs changes a simulated number.
 struct Options {
   /// Seed for all per-node RNG streams and hashed layouts.
   std::uint64_t seed{1};
@@ -85,12 +88,6 @@ struct Options {
   /// the host thread budget. Like host_workers, a pure host-throughput
   /// knob: every mode produces bit-identical traces.
   LaneMode lanes{LaneMode::Auto};
-  /// Per-phase traffic representation: Auto picks sparse or dense per phase
-  /// from a density bound over the request spans; Sparse/Dense force one
-  /// form everywhere. A third host-throughput knob with the same contract
-  /// as the two above — traces are bit-identical across all three values
-  /// (pinned by the sparse-parity suite).
-  TrafficMode traffic{TrafficMode::Auto};
 };
 
 class Runtime;
@@ -215,14 +212,6 @@ class Runtime {
   [[nodiscard]] LaneMode lane_mode() const { return exec_.lane_mode(); }
   /// Carrier threads multiplexing fiber lanes (0 in thread mode).
   [[nodiscard]] int host_carriers() const { return exec_.carriers(); }
-  /// Phases processed through each traffic representation so far (host
-  /// introspection for benches and the parity suite; never in a trace).
-  [[nodiscard]] std::uint64_t host_sparse_phases() const {
-    return pipeline_.sparse_phases();
-  }
-  [[nodiscard]] std::uint64_t host_dense_phases() const {
-    return pipeline_.dense_phases();
-  }
 
  private:
   friend class Context;

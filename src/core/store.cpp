@@ -59,34 +59,4 @@ const ArraySlot& SharedStore::slot(std::uint32_t id,
   return s;
 }
 
-void SharedStore::accumulate_owner_counts(const ArraySlot& s,
-                                          std::uint64_t start,
-                                          std::uint64_t count,
-                                          std::uint64_t* counts) const {
-  const auto p = static_cast<std::uint64_t>(nprocs_);
-  switch (s.layout) {
-    case Layout::Block:
-      for_each_block_run(s, start, count,
-                         [&](int o, std::uint64_t, std::uint64_t len) {
-                           counts[o] += len;
-                         });
-      return;
-    case Layout::Cyclic: {
-      const std::uint64_t cycles = count / p;
-      if (cycles > 0) {
-        for (std::uint64_t j = 0; j < p; ++j) counts[j] += cycles;
-      }
-      for (std::uint64_t k = start + cycles * p; k < start + count; ++k) {
-        counts[k % p]++;
-      }
-      return;
-    }
-    case Layout::Hashed:
-      for (std::uint64_t k = start; k < start + count; ++k) {
-        counts[hash_index(k, s.salt) % p]++;
-      }
-      return;
-  }
-}
-
 }  // namespace qsm::rt

@@ -110,27 +110,45 @@ class SharedStore {
     }
   }
 
-  /// Adds the per-owner word counts of [start, start + count) into
-  /// counts[0..p). Closed-form for Block and Cyclic; per-word only for
-  /// Hashed.
-  void accumulate_owner_counts(const ArraySlot& s, std::uint64_t start,
-                               std::uint64_t count,
-                               std::uint64_t* counts) const;
-
-  /// Upper bound on the distinct owners of [start, start + count), in O(1).
-  /// Exact for Block (ownership is contiguous, so owners == runs ==
-  /// last_owner - first_owner + 1); min(count, p) for Cyclic and Hashed.
-  /// The phase pipeline's traffic-density pre-pass sums these to decide
-  /// sparse vs dense classification without touching any word.
-  [[nodiscard]] std::uint64_t owner_span_bound(const ArraySlot& s,
-                                               std::uint64_t start,
-                                               std::uint64_t count) const {
-    QSM_ASSERT(count > 0, "empty span has no owners");
-    if (s.layout == Layout::Block) {
-      return (start + count - 1) / s.chunk - start / s.chunk + 1;
+  /// Calls fn(owner, words) for the owners of [start, start + count); the
+  /// words of all calls sum to count. Block and Cyclic call once per owner
+  /// touched, in ascending owner order, in closed form; Hashed calls once
+  /// per word, with words = 1.
+  template <typename Fn>
+  void for_each_owner(const ArraySlot& s, std::uint64_t start,
+                      std::uint64_t count, Fn&& fn) const {
+    const auto p = static_cast<std::uint64_t>(nprocs_);
+    switch (s.layout) {
+      case Layout::Block:
+        for_each_block_run(s, start, count,
+                           [&](int o, std::uint64_t, std::uint64_t len) {
+                             fn(o, len);
+                           });
+        return;
+      case Layout::Cyclic: {
+        // Index start + t, for t < min(count, p), is the first of owner
+        // (start + t) mod p's ceil((count - t) / p) words. Those owners
+        // form one interval of the ring; when it wraps past p - 1, its
+        // part at the bottom of the ring comes first.
+        const std::uint64_t first = start % p;
+        const std::uint64_t end = first + std::min(count, p);
+        const auto words = [&](std::uint64_t t) {
+          return (count - t + p - 1) / p;
+        };
+        for (std::uint64_t o = 0; o + p < end; ++o) {
+          fn(static_cast<int>(o), words(o + p - first));
+        }
+        for (std::uint64_t o = first; o < std::min(end, p); ++o) {
+          fn(static_cast<int>(o), words(o - first));
+        }
+        return;
+      }
+      case Layout::Hashed:
+        for (std::uint64_t k = start; k < start + count; ++k) {
+          fn(static_cast<int>(hash_index(k, s.salt) % p), std::uint64_t{1});
+        }
+        return;
     }
-    return std::min<std::uint64_t>(count,
-                                   static_cast<std::uint64_t>(nprocs_));
   }
 
  private:

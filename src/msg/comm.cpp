@@ -102,41 +102,6 @@ net::ExchangeResult Comm::allgather(const std::vector<cycles_t>& start,
   return shift_result(std::move(canonical), base);
 }
 
-net::ExchangeResult Comm::alltoallv_flat(
-    const std::vector<cycles_t>& start, const std::vector<std::int64_t>& bytes,
-    std::uint64_t fault_salt) const {
-  const int p = cfg_.p;
-  if (!cfg_.net.fault.message_faults_enabled()) fault_salt = 0;
-  const auto up = static_cast<std::size_t>(p);
-  QSM_REQUIRE(start.size() == up, "start times must cover every node");
-  QSM_REQUIRE(bytes.size() == up * up, "bytes matrix must be p x p");
-  cycles_t base = start[0];
-  for (const cycles_t s : start) {
-    QSM_REQUIRE(s >= 0, "start times must be non-negative");
-    base = std::min(base, s);
-  }
-
-  XferKey key;
-  key.rel_start.reserve(up);
-  for (const cycles_t s : start) key.rel_start.push_back(s - base);
-  // Same traffic order as simulate_alltoallv: source-major, destination
-  // ascending, zero entries dropped.
-  for (std::size_t i = 0; i < up; ++i) {
-    for (std::size_t j = 0; j < up; ++j) {
-      const std::int64_t b = bytes[i * up + j];
-      if (i != j && b > 0) {
-        key.traffic.emplace_back(static_cast<std::int64_t>(i * up + j), b);
-      }
-    }
-  }
-  key.fault_salt = fault_salt;
-
-  if (const auto* hit = xfer_cache_.find(key)) {
-    return shift_result(*hit, base);
-  }
-  return xfer_simulate(std::move(key), base);
-}
-
 net::ExchangeResult Comm::alltoallv_sparse(
     const std::vector<cycles_t>& start,
     const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
@@ -151,10 +116,9 @@ net::ExchangeResult Comm::alltoallv_sparse(
     base = std::min(base, s);
   }
 
-  // The caller supplies exactly the nonzero entries alltoallv_flat would
-  // extract: flat index ascending (row-major), positive bytes, no
-  // diagonal. Enforcing that here keeps the two entry points' memo keys —
-  // and therefore their results — byte-identical by construction. The
+  // The caller supplies each message once: flat index ascending
+  // (row-major), positive bytes, no diagonal. Enforcing that here makes
+  // the traffic list a canonical memo key for its message set. The
   // ascending walk lets the row tracking advance instead of dividing.
   std::int64_t prev_idx = -1;
   std::int64_t row = 0;
@@ -173,49 +137,40 @@ net::ExchangeResult Comm::alltoallv_sparse(
   }
 
   // Probe the memo with borrowed vectors — the hot path (a phase pattern
-  // seen before) copies nothing.
+  // seen before) copies nothing, and a miss copies them into an owning key
+  // only if the entry is stored.
   thread_local std::vector<cycles_t> rel_scratch;
   rel_scratch.clear();
   rel_scratch.reserve(up);
   for (const cycles_t s : start) rel_scratch.push_back(s - base);
-  if (const auto* hit =
-          xfer_cache_.find(XferKeyView{rel_scratch, traffic, fault_salt})) {
+  const XferKeyView key{rel_scratch, traffic, fault_salt};
+  if (const auto* hit = xfer_cache_.find(key)) {
     return shift_result(*hit, base);
   }
 
-  XferKey key;
-  key.rel_start = rel_scratch;
-  key.traffic = traffic;
-  key.fault_salt = fault_salt;
-  return xfer_simulate(std::move(key), base);
-}
-
-net::ExchangeResult Comm::xfer_simulate(XferKey key, cycles_t base) const {
-  // Both entry points validate the traffic as ascending flat indices off
-  // the diagonal, so p(p-1) entries are exactly the complete graph; if
-  // they also share one byte count, the closed form prices the exchange.
-  const auto p = static_cast<std::int64_t>(cfg_.p);
-  const auto& traffic = key.traffic;
+  // The traffic was validated above as ascending flat indices off the
+  // diagonal, so p(p-1) entries are exactly the complete graph; if they
+  // also share one byte count, the closed form prices the exchange.
+  const auto p64 = static_cast<std::int64_t>(p);
   const bool uniform =
-      p >= 2 && static_cast<std::int64_t>(traffic.size()) == p * (p - 1) &&
+      p >= 2 && static_cast<std::int64_t>(traffic.size()) == p64 * (p64 - 1) &&
       std::all_of(traffic.begin(), traffic.end(), [&](const auto& entry) {
         return entry.second == traffic.front().second;
       });
   auto canonical =
-      uniform && net::uniform_all_pairs_exact(cfg_.net, key.fault_salt)
-          ? net::simulate_uniform_all_pairs(cfg_.net, cfg_.sw, key.rel_start,
+      uniform && net::uniform_all_pairs_exact(cfg_.net, fault_salt)
+          ? net::simulate_uniform_all_pairs(cfg_.net, cfg_.sw, rel_scratch,
                                             traffic.front().second,
                                             /*control=*/false)
-          : net::simulate_alltoallv_sparse(cfg_.net, cfg_.sw, key.rel_start,
-                                           traffic, key.fault_salt);
+          : net::simulate_alltoallv_sparse(cfg_.net, cfg_.sw, rel_scratch,
+                                           traffic, fault_salt);
 
   // Entries vary wildly in size (a ring keys in O(p), a dense all-to-all in
   // O(p^2)), so the bound is on total stored words, not entry count; the
   // cache clears on overflow and skips entries above the per-entry cap.
-  const std::size_t entry_words = key.rel_start.size() +
-                                  2 * key.traffic.size() +
-                                  4 * canonical.nodes.size() + 8;
-  xfer_cache_.insert(std::move(key), canonical, entry_words);
+  const std::size_t entry_words =
+      up + 2 * traffic.size() + 4 * canonical.nodes.size() + 8;
+  xfer_cache_.insert(key, canonical, entry_words);
   return shift_result(std::move(canonical), base);
 }
 

@@ -49,28 +49,15 @@ class Comm {
                                    fault_salt);
   }
 
-  /// Same exchange over a row-major p*p byte matrix. The phase pipeline
-  /// prices two exchanges per sync() into reusable flat scratch; this
-  /// overload avoids rebuilding a vector-of-vectors every phase. Produces
-  /// the identical message set (and therefore identical timing) as the
-  /// nested-matrix form. Memoized by (relative arrival pattern, nonzero
-  /// traffic triples) via the same time-translation argument as
-  /// allgather(); iterative algorithms whose phases repeat a traffic shape
-  /// price it once. A miss on a uniform all-pairs pattern (all p(p-1)
-  /// off-diagonal entries with one byte count) is priced in closed form,
-  /// as allgather() prices its misses; any other miss runs the event
-  /// simulation.
-  [[nodiscard]] net::ExchangeResult alltoallv_flat(
-      const std::vector<cycles_t>& start,
-      const std::vector<std::int64_t>& bytes,
-      std::uint64_t fault_salt = 0) const;
-
   /// Sparse form of the same exchange: `traffic` lists only the active
   /// messages as (src * p + dst, bytes) pairs, ascending in flat index,
-  /// with bytes > 0 and src != dst — exactly the nonzero entries
-  /// alltoallv_flat extracts from its matrix. Both entry points therefore
-  /// build byte-identical memo keys, share cache entries, and return
-  /// bit-identical results; this one costs O(active pairs), not O(p^2).
+  /// with bytes > 0 and src != dst, so it costs O(active pairs), not
+  /// O(p^2). Memoized by (relative arrival pattern, traffic list) via the
+  /// same time-translation argument as allgather(); iterative algorithms
+  /// whose phases repeat a traffic shape price it once. A miss on a
+  /// uniform all-pairs pattern (all p(p-1) off-diagonal entries with one
+  /// byte count) is priced in closed form, as allgather() prices its
+  /// misses; any other miss runs the event simulation.
   [[nodiscard]] net::ExchangeResult alltoallv_sparse(
       const std::vector<cycles_t>& start,
       const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic,
@@ -146,22 +133,25 @@ class Comm {
     }
   };
 
-  /// Canonical-time alltoallv memo key: arrival pattern relative to the
-  /// earliest node plus the nonzero (flat index, bytes) traffic triples in
-  /// row-major order. Sparse so a ring pattern keys in O(p), not O(p^2).
-  struct XferKey {
-    std::vector<cycles_t> rel_start;
-    std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
-    std::uint64_t fault_salt{0};
-    bool operator==(const XferKey&) const = default;
-  };
-  /// Borrowed view of an XferKey for heterogeneous cache lookup: the hot
-  /// path (a memoized phase pattern) probes with the caller's traffic list
-  /// and a scratch rel_start, copying neither; only a miss materializes the
-  /// owning key for storage.
+  /// Borrowed form of an XferKey: the hot path (a memoized phase pattern)
+  /// probes with the caller's traffic list and a scratch rel_start, and
+  /// the memo copies them into an owning key only when it stores the
+  /// entry — never for an entry over its per-entry cap.
   struct XferKeyView {
     const std::vector<cycles_t>& rel_start;
     const std::vector<std::pair<std::int64_t, std::int64_t>>& traffic;
+    std::uint64_t fault_salt{0};
+  };
+  /// Canonical-time alltoallv memo key: arrival pattern relative to the
+  /// earliest node plus the (flat index, bytes) traffic list in row-major
+  /// order. Sparse so a ring pattern keys in O(p), not O(p^2).
+  struct XferKey {
+    explicit XferKey(const XferKeyView& v)
+        : rel_start(v.rel_start),
+          traffic(v.traffic),
+          fault_salt(v.fault_salt) {}
+    std::vector<cycles_t> rel_start;
+    std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
     std::uint64_t fault_salt{0};
   };
   struct XferKeyHash {
@@ -192,12 +182,6 @@ class Comm {
              a.traffic == b.traffic;
     }
   };
-
-  /// Shared miss path behind both alltoallv entry points, called after the
-  /// probe missed: simulates `key` (the canonical arrival pattern and
-  /// sparse traffic), stores it, and returns it shifted to `base`.
-  [[nodiscard]] net::ExchangeResult xfer_simulate(XferKey key,
-                                                  cycles_t base) const;
 
   machine::MachineConfig cfg_;
   // No lock on either memo: a Comm belongs to one Runtime, which calls it

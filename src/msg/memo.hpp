@@ -55,8 +55,11 @@ class BoundedMemo {
   }
 
   /// Stores an entry for a key find() just missed. `words` is its weight
-  /// against max_words and max_entry_words.
-  void insert(Key key, Value value, std::size_t words = 1) {
+  /// against max_words and max_entry_words. `key` is a Key or anything a
+  /// Key is constructed from, such as a borrowed view, which is copied
+  /// only if the entry is stored.
+  template <typename K>
+  void insert(K&& key, Value value, std::size_t words = 1) {
     if (caps_.max_entry_words != 0 && words > caps_.max_entry_words) {
       ++stats_.oversize;
       return;
@@ -67,7 +70,7 @@ class BoundedMemo {
       words_ = 0;
       ++stats_.clears;
     }
-    map_.emplace(std::move(key), std::move(value));
+    map_.emplace(std::forward<K>(key), std::move(value));
     words_ += words;
     ++stats_.installs;
   }

@@ -45,9 +45,13 @@ void ArgParser::set(const std::string& name, const std::string& value) {
     throw std::runtime_error("unknown flag --" + name + " (see --help)");
   }
   switch (it->second.kind) {
+    // A value the parse does not consume whole is rejected, not cut to
+    // its numeric prefix: "--n 1e6" must not run with n = 1.
     case Kind::I64:
       try {
-        (void)std::stoll(value);
+        std::size_t used = 0;
+        (void)std::stoll(value, &used);
+        if (used != value.size()) throw std::invalid_argument("trailing junk");
       } catch (const std::exception&) {
         throw std::runtime_error("flag --" + name + " expects an integer, got '" +
                                  value + "'");
@@ -55,7 +59,9 @@ void ArgParser::set(const std::string& name, const std::string& value) {
       break;
     case Kind::F64:
       try {
-        (void)std::stod(value);
+        std::size_t used = 0;
+        (void)std::stod(value, &used);
+        if (used != value.size()) throw std::invalid_argument("trailing junk");
       } catch (const std::exception&) {
         throw std::runtime_error("flag --" + name + " expects a number, got '" +
                                  value + "'");

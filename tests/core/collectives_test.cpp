@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "machine/presets.hpp"
 
 namespace qsm::rt {
@@ -105,40 +107,73 @@ TEST(Collectives, SingleNodeDegenerates) {
   });
 }
 
+/// FNV-1a over every RunResult and PhaseStats field.
+std::uint64_t run_hash(const RunResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(static_cast<std::uint64_t>(r.total_cycles));
+  mix(static_cast<std::uint64_t>(r.comm_cycles));
+  mix(static_cast<std::uint64_t>(r.barrier_cycles));
+  mix(static_cast<std::uint64_t>(r.compute_cycles));
+  mix(r.phases);
+  mix(r.rw_total);
+  mix(r.kappa_max);
+  mix(r.messages);
+  mix(static_cast<std::uint64_t>(r.wire_bytes));
+  mix(r.retries);
+  mix(r.drops);
+  mix(r.duplicates);
+  mix(r.replays);
+  for (const PhaseStats& ps : r.trace) {
+    mix(static_cast<std::uint64_t>(ps.arrival_spread));
+    mix(static_cast<std::uint64_t>(ps.exchange_cycles));
+    mix(static_cast<std::uint64_t>(ps.barrier_cycles));
+    mix(static_cast<std::uint64_t>(ps.m_op_max));
+    mix(ps.m_rw_max);
+    mix(ps.max_put_words);
+    mix(ps.max_get_words);
+    mix(ps.rw_total);
+    mix(ps.local_words);
+    mix(ps.kappa);
+    mix(ps.messages);
+    mix(static_cast<std::uint64_t>(ps.wire_bytes));
+    mix(ps.retries);
+    mix(ps.drops);
+    mix(ps.duplicates);
+    mix(ps.replays);
+    mix(ps.p_effective);
+  }
+  return h;
+}
+
 TEST(Collectives, SparseDenseParity) {
-  // The transposed cyclic slot matrix turned each collective's outgoing
-  // row into two strided put_range spans, which is what lets the sparse
-  // traffic pipeline hand these phases to Comm::alltoallv_sparse instead
-  // of building dense O(p) per-node rows. The contract is that this is a
-  // pure host-throughput change: forcing either representation must
-  // produce bit-identical traces.
-  for (const int p : {4, 16, 64}) {
-    const auto program = [p](Collectives& coll) {
-      return [&coll, p](Context& ctx) {
-        const auto sum = coll.allreduce_sum(ctx, ctx.rank() + 1);
-        EXPECT_EQ(sum, p * (p + 1) / 2);
-        (void)coll.broadcast(ctx, ctx.rank(), p - 1);
-        (void)coll.exscan_sum(ctx, 2);
-        (void)coll.allgather(ctx, ctx.rank() * 3);
-      };
-    };
-    Runtime dense_rt(machine::default_sim(p),
-                     Options{.traffic = TrafficMode::Dense});
-    Collectives dense_coll(dense_rt);
-    const auto dense = dense_rt.run(program(dense_coll));
-    EXPECT_GT(dense_rt.host_dense_phases(), 0u);
-    EXPECT_EQ(dense_rt.host_sparse_phases(), 0u);
-
-    Runtime sparse_rt(machine::default_sim(p),
-                      Options{.traffic = TrafficMode::Sparse});
-    Collectives sparse_coll(sparse_rt);
-    const auto sparse = sparse_rt.run(program(sparse_coll));
-    // Every collective phase actually routed through the sparse pipeline
-    // (and so through Comm::alltoallv_sparse), not the dense fallback.
-    EXPECT_EQ(sparse_rt.host_sparse_phases(), 4u) << "p=" << p;
-    EXPECT_EQ(sparse_rt.host_dense_phases(), 0u);
-
-    EXPECT_EQ(dense, sparse) << "trace diverged at p=" << p;
+  // The transposed cyclic slot matrix turns each collective's outgoing row
+  // into two strided put_range spans, which the phase pipeline prices from
+  // two closed-form owner runs per source. The hashes were recorded at the
+  // last commit that carried a dense p x p traffic form beside the CSR
+  // rows, where forcing either form gave these same traces.
+  struct Pinned {
+    int p;
+    std::uint64_t hash;
+  };
+  for (const Pinned& pin : {Pinned{4, 0x13cb679e9c93b8c1ULL},
+                            Pinned{16, 0xb72b247ac079568dULL},
+                            Pinned{64, 0xc999e509066ac5bdULL}}) {
+    const int p = pin.p;
+    Runtime rt(machine::default_sim(p));
+    Collectives coll(rt);
+    const auto r = rt.run([&](Context& ctx) {
+      const auto sum = coll.allreduce_sum(ctx, ctx.rank() + 1);
+      EXPECT_EQ(sum, p * (p + 1) / 2);
+      (void)coll.broadcast(ctx, ctx.rank(), p - 1);
+      (void)coll.exscan_sum(ctx, 2);
+      (void)coll.allgather(ctx, ctx.rank() * 3);
+    });
+    EXPECT_EQ(r.phases, 4u) << "p=" << p;
+    EXPECT_EQ(run_hash(r), pin.hash) << "trace diverged at p=" << p;
   }
 }
 

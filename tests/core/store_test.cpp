@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -110,37 +111,62 @@ TEST(SharedStore, BlockRunDecompositionMatchesPerWordOwner) {
   }
 }
 
+/// Per-owner word counts of [start, start + count) from the store walk.
+/// Also checks the walk's order contract: Block and Cyclic visit each
+/// owner once, ascending.
+std::vector<std::uint64_t> walk_counts(const SharedStore& store,
+                                       const ArraySlot& s,
+                                       std::uint64_t start,
+                                       std::uint64_t count) {
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(store.nprocs()),
+                                    0);
+  int prev = -1;
+  store.for_each_owner(s, start, count, [&](int owner, std::uint64_t words) {
+    EXPECT_GT(words, 0u);
+    if (s.layout != Layout::Hashed) {
+      EXPECT_GT(owner, prev) << "owners not visited once, ascending";
+      prev = owner;
+    }
+    counts[static_cast<std::size_t>(owner)] += words;
+  });
+  return counts;
+}
+
 TEST(SharedStore, OwnerCountsMatchPerWordOwnerForEveryLayout) {
+  // Spans shorter than p, exactly p, longer than p, and wrapping past the
+  // last owner (Cyclic) all count each word at the owner owner() names.
   const int p = 7;
   SharedStore store(99, p);
   for (const Layout layout :
        {Layout::Block, Layout::Cyclic, Layout::Hashed}) {
     const auto h = store.allocate(61, layout, "");
     const auto& s = store.slot(h.id, h.generation);
-    for (std::uint64_t start = 0; start < 61; start += 9) {
-      const std::uint64_t count = std::min<std::uint64_t>(17, 61 - start);
-      std::vector<std::uint64_t> closed(p, 0);
-      store.accumulate_owner_counts(s, start, count, closed.data());
-      std::vector<std::uint64_t> naive(p, 0);
-      for (std::uint64_t i = start; i < start + count; ++i) {
-        naive[static_cast<std::size_t>(store.owner(s, i))]++;
+    for (std::uint64_t start = 0; start < 61; start += 3) {
+      for (const std::uint64_t len : {1u, 5u, 7u, 17u}) {
+        const std::uint64_t count = std::min<std::uint64_t>(len, 61 - start);
+        std::vector<std::uint64_t> naive(p, 0);
+        for (std::uint64_t i = start; i < start + count; ++i) {
+          naive[static_cast<std::size_t>(store.owner(s, i))]++;
+        }
+        EXPECT_EQ(walk_counts(store, s, start, count), naive)
+            << "layout " << to_string(layout) << " start " << start
+            << " count " << count;
       }
-      EXPECT_EQ(closed, naive)
-          << "layout " << static_cast<int>(layout) << " start " << start;
     }
   }
 }
 
 TEST(SharedStore, AccumulateIsAdditive) {
-  SharedStore store(1, 4);
-  const auto h = store.allocate(100, Layout::Cyclic, "");
-  const auto& s = store.slot(h.id, h.generation);
-  std::vector<std::uint64_t> counts(4, 0);
-  store.accumulate_owner_counts(s, 0, 50, counts.data());
-  store.accumulate_owner_counts(s, 50, 50, counts.data());
-  std::vector<std::uint64_t> whole(4, 0);
-  store.accumulate_owner_counts(s, 0, 100, whole.data());
-  EXPECT_EQ(counts, whole);
+  for (const Layout layout :
+       {Layout::Block, Layout::Cyclic, Layout::Hashed}) {
+    SharedStore store(1, 4);
+    const auto h = store.allocate(100, layout, "");
+    const auto& s = store.slot(h.id, h.generation);
+    std::vector<std::uint64_t> halves = walk_counts(store, s, 0, 50);
+    const std::vector<std::uint64_t> upper = walk_counts(store, s, 50, 50);
+    for (std::size_t o = 0; o < halves.size(); ++o) halves[o] += upper[o];
+    EXPECT_EQ(halves, walk_counts(store, s, 0, 100)) << to_string(layout);
+  }
 }
 
 }  // namespace

@@ -88,36 +88,6 @@ TEST(Comm, ControlAllgatherIsCheaperThanDataAllgather) {
   EXPECT_EQ(control.messages, data.messages);
 }
 
-TEST(Comm, SparseAlltoallvMatchesFlat) {
-  // The two entry points must build byte-identical memo keys: the sparse
-  // caller supplies exactly the nonzeros the flat form extracts, so the
-  // results — and the cache entries behind them — are shared.
-  const auto c = default_comm(6);
-  const std::size_t p = 6;
-  std::vector<std::int64_t> flat(p * p, 0);
-  std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
-  for (std::size_t i = 0; i < p; ++i) {
-    for (std::size_t j = 0; j < p; ++j) {
-      if (i == j || (i + j) % 3 != 0) continue;
-      const auto b = static_cast<std::int64_t>(128 + 8 * (i * p + j));
-      flat[i * p + j] = b;
-      traffic.emplace_back(static_cast<std::int64_t>(i * p + j), b);
-    }
-  }
-  std::vector<support::cycles_t> start(p);
-  for (std::size_t i = 0; i < p; ++i) {
-    start[i] = static_cast<support::cycles_t>((i * 53) % 4) * 250;
-  }
-  const auto dense = c.alltoallv_flat(start, flat);
-  const auto sparse = c.alltoallv_sparse(start, traffic);
-  EXPECT_EQ(dense.finish, sparse.finish);
-  EXPECT_EQ(dense.messages, sparse.messages);
-  EXPECT_EQ(dense.wire_bytes, sparse.wire_bytes);
-  for (std::size_t i = 0; i < p; ++i) {
-    EXPECT_EQ(dense.nodes[i].finish, sparse.nodes[i].finish);
-  }
-}
-
 TEST(Comm, SparseAlltoallvRejectsMalformedTraffic) {
   const auto c = default_comm(4);
   const std::vector<support::cycles_t> start(4, 0);
@@ -187,19 +157,15 @@ TEST(Comm, SparseAlltoallvMemoSharesEntriesAcrossEntryPoints) {
   EXPECT_EQ(s1.hits, 0u);
   EXPECT_EQ(s1.installs, 1u);
 
-  // Warm repeat through the sparse entry point: one view-probe hit.
+  // Warm repeat: one view-probe hit.
   (void)c.alltoallv_sparse(start, traffic);
   const auto s2 = c.xfer_cache_stats();
   EXPECT_EQ(s2.hits, 1u);
   EXPECT_EQ(s2.misses, 1u);
 
-  // The flat entry point builds the same canonical key, so it hits the
-  // entry the sparse call installed.
-  std::vector<std::int64_t> flat(16, 0);
-  flat[1] = 64;
-  flat[4] = 64;
-  flat[11] = 32;
-  (void)c.alltoallv_flat(start, flat);
+  // The key is the relative arrival pattern: a uniform shift hits the
+  // entry the first call installed.
+  (void)c.alltoallv_sparse(std::vector<support::cycles_t>(4, 700), traffic);
   const auto s3 = c.xfer_cache_stats();
   EXPECT_EQ(s3.hits, 2u);
   EXPECT_EQ(s3.installs, 1u);
@@ -233,12 +199,12 @@ void expect_same_result(const net::ExchangeResult& got,
 }
 
 // A memo miss on a uniform complete graph is priced in closed form; each
-// near miss below must stay on the event simulation. Either way, both
-// alltoallv entry points (and, for uniform traffic, a data allgather) must
-// equal net::simulate_exchange on the same spec in every field, and a
-// repeated call must be a plain memo hit. The payload and the single fabric
-// link are chosen so that each near miss, priced in closed form, would
-// give a different result.
+// near miss below must stay on the event simulation. Either way,
+// alltoallv_sparse (and, for uniform traffic, a data allgather) must equal
+// net::simulate_exchange on the same spec in every field, and a repeated
+// call must be a plain memo hit. The payload and the single fabric link are
+// chosen so that each near miss, priced in closed form, would give a
+// different result.
 TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
   constexpr int p = 6;
   constexpr std::size_t up = p;
@@ -288,9 +254,6 @@ TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
     }
     const auto want = net::simulate_exchange(tc.cfg.net, tc.cfg.sw, spec);
 
-    const Comm flat_comm(tc.cfg);
-    expect_same_result(flat_comm.alltoallv_flat(start, tc.flat, tc.salt),
-                       want, tc.name + ": flat");
     const Comm sparse_comm(tc.cfg);
     expect_same_result(sparse_comm.alltoallv_sparse(start, traffic, tc.salt),
                        want, tc.name + ": sparse");
@@ -308,6 +271,41 @@ TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
     EXPECT_EQ(stats.hits, 1u) << tc.name;
     EXPECT_EQ(stats.installs, 1u) << tc.name;
   }
+}
+
+TEST(Comm, SparseAlltoallvMatchesFlat) {
+  // The sparse caller supplies exactly the nonzeros of a flat p x p byte
+  // matrix; the result must equal the event simulation of the transfers
+  // read from that matrix, in every field.
+  const auto c = default_comm(6);
+  const std::size_t p = 6;
+  std::vector<std::int64_t> flat(p * p, 0);
+  std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      if (i == j || (i + j) % 3 != 0) continue;
+      const auto b = static_cast<std::int64_t>(128 + 8 * (i * p + j));
+      flat[i * p + j] = b;
+      traffic.emplace_back(static_cast<std::int64_t>(i * p + j), b);
+    }
+  }
+  std::vector<support::cycles_t> start(p);
+  for (std::size_t i = 0; i < p; ++i) {
+    start[i] = static_cast<support::cycles_t>((i * 53) % 4) * 250;
+  }
+  net::ExchangeSpec spec;
+  spec.p = static_cast<int>(p);
+  spec.start = start;
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      if (flat[i * p + j] == 0) continue;
+      spec.transfers.push_back(
+          {static_cast<int>(i), static_cast<int>(j), flat[i * p + j]});
+    }
+  }
+  const auto want =
+      net::simulate_exchange(c.config().net, c.config().sw, spec);
+  expect_same_result(c.alltoallv_sparse(start, traffic), want, "sparse");
 }
 
 TEST(Comm, BiggerMachineHasCostlierBarrier) {

@@ -12,6 +12,16 @@ namespace {
 
 using Memo = BoundedMemo<int, int, std::hash<int>>;
 
+/// A borrowed key that counts how often the memo turns it into a Key.
+struct CountingKey {
+  int key;
+  int* made;
+  operator int() const {
+    ++*made;
+    return key;
+  }
+};
+
 TEST(BoundedMemo, EntryCapClearsBeforeTheStoreThatWouldExceedIt) {
   Memo memo({.max_entries = 3});
   for (int k = 0; k < 3; ++k) {
@@ -68,6 +78,15 @@ TEST(BoundedMemo, OversizeEntryIsCountedNotStoredAndDoesNotClear) {
   EXPECT_EQ(memo.size(), 2u);
   EXPECT_EQ(memo.stats().hits, 1u);
   EXPECT_EQ(memo.stats().misses, 1u);
+
+  // A borrowed key is copied into the memo only for an entry it stores.
+  int made = 0;
+  memo.insert(CountingKey{4, &made}, 4, 6);
+  EXPECT_EQ(made, 0);
+  EXPECT_EQ(memo.stats().oversize, 2u);
+  memo.insert(CountingKey{5, &made}, 5, 1);
+  EXPECT_EQ(made, 1);
+  EXPECT_NE(memo.find(5), nullptr);
 }
 
 }  // namespace

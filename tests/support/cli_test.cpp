@@ -61,10 +61,15 @@ TEST(ArgParser, UnknownFlagThrows) {
 }
 
 TEST(ArgParser, NonNumericValueThrows) {
-  auto p = make_parser();
-  const std::array argv{"prog", "--n=abc"};
-  EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
-               std::runtime_error);
+  // A numeric prefix is not a number: "--n=1e6" must not read as 1.
+  for (const char* bad :
+       {"--n=abc", "--n=12abc", "--n=1e6", "--n=", "--gap=1.5x", "--gap=x"}) {
+    auto p = make_parser();
+    const std::array argv{"prog", bad};
+    EXPECT_THROW(p.parse(static_cast<int>(argv.size()), argv.data()),
+                 std::runtime_error)
+        << bad;
+  }
 }
 
 TEST(ArgParser, MissingValueThrows) {

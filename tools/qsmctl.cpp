@@ -1,11 +1,11 @@
 // qsmctl — one entry point to the library for people who do not want to
 // write C++ first.
 //
-//   qsmctl machines                       list presets and their parameters
-//   qsmctl calibrate --machine t3e        Table-3 style calibration
-//   qsmctl run --algo sort --n 65536      run a workload, print the trace
-//   qsmctl predict --algo rank --n 1e6    closed-form predictions only
-//   qsmctl membench --accesses 2000       the Section-4 microbenchmark
+//   qsmctl machines                         list presets and their parameters
+//   qsmctl calibrate --machine t3e          Table-3 style calibration
+//   qsmctl run --algo sort --n 65536        run a workload, print the trace
+//   qsmctl predict --algo rank --n 1000000  closed-form predictions only
+//   qsmctl membench --accesses 2000         the Section-4 microbenchmark
 //
 // Every subcommand accepts --machine <preset> or --machine-file <cfg>.
 #include <cstdio>

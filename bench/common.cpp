@@ -30,9 +30,6 @@ void register_common_flags(support::ArgParser& args) {
   args.flag_str("cache-sync", "data",
                 "cache durability: none (process-crash safe only), data "
                 "(fdatasync per record), full (also fsync metadata + dir)");
-  args.flag_str("lanes", "auto",
-                "program lane engine: auto, threads, or fibers (host "
-                "throughput only; traces are identical)");
   // Fault injection (all off by default; any nonzero probability changes
   // the cache keys, so fault-free caches are untouched).
   args.flag_f64("fault-drop", 0, "per-message drop probability");
@@ -67,13 +64,13 @@ CommonConfig read_common_flags(const support::ArgParser& args) {
   const std::string& file = args.str("machine-file");
   cfg.machine = file.empty() ? machine::preset_by_name(args.str("machine"))
                              : machine::machine_from_file(file);
-  const auto p = args.i64("p");
-  if (p > 0) cfg.machine.p = static_cast<int>(p);
-  cfg.reps = static_cast<int>(args.i64("reps"));
+  const int p = args.i32("p");
+  if (p > 0) cfg.machine.p = p;
+  cfg.reps = args.i32("reps");
   QSM_REQUIRE(cfg.reps >= 1, "--reps must be at least 1");
   cfg.seed = static_cast<std::uint64_t>(args.i64("seed"));
   cfg.csv = args.str("csv");
-  cfg.jobs = static_cast<int>(args.i64("jobs"));
+  cfg.jobs = args.i32("jobs");
   QSM_REQUIRE(cfg.jobs >= 0, "--jobs must be non-negative");
   cfg.cache = !args.boolean("no-cache");
   cfg.cache_dir = args.str("cache-dir");
@@ -84,12 +81,6 @@ CommonConfig read_common_flags(const support::ArgParser& args) {
                 "--cache-sync must be none, data, or full");
     cfg.cache_sync = *policy;
   }
-  cfg.lanes = rt::lane_mode_from_string(args.str("lanes"));
-  // Installed process-wide: every Runtime the sweeps build (their Options
-  // leave `lanes` at Auto) resolves through this default. Not part of any
-  // cache key — lane mode cannot change a simulated number.
-  rt::set_default_lane_mode(cfg.lanes);
-
   net::FaultParams& fault = cfg.machine.net.fault;
   fault.drop_prob = args.f64("fault-drop");
   fault.dup_prob = args.f64("fault-dup");
@@ -102,7 +93,7 @@ CommonConfig read_common_flags(const support::ArgParser& args) {
   fault.node_fail_prob = args.f64("fault-node-fail");
   fault.ack_timeout = args.i64("fault-timeout");
   fault.ack_backoff = args.f64("fault-backoff");
-  fault.max_attempts = static_cast<int>(args.i64("fault-attempts"));
+  fault.max_attempts = args.i32("fault-attempts");
   fault.seed = static_cast<std::uint64_t>(args.i64("fault-seed"));
   fault.validate();
 

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/exec.hpp"
 #include "core/trace.hpp"
 #include "harness/point.hpp"
 #include "harness/sweep.hpp"
@@ -40,8 +39,6 @@ struct CommonConfig {
   std::string cache_dir;  ///< result cache location (segment stores)
   /// Cache durability policy (--cache-sync={none,data,full}).
   support::durable::SyncPolicy cache_sync{support::durable::SyncPolicy::Data};
-  /// Program lane engine (--lanes); also installed as the process default.
-  rt::LaneMode lanes{rt::LaneMode::Auto};
   // Robustness knobs (--point-timeout, --point-rss-mb, --tolerate-failures,
   // --resume); the fault-injection --fault-* flags land directly in
   // machine.net.fault.

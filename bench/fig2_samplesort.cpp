@@ -28,7 +28,7 @@ int run(int argc, const char* const* argv) {
   args.flag_i64("oversample", 4, "oversampling factor c");
   if (!args.parse(argc, argv)) return 0;
   const auto cfg = bench::read_common_flags(args);
-  const int c = static_cast<int>(args.i64("oversample"));
+  const int c = args.i32("oversample");
 
   const auto cal = models::calibrate(cfg.machine);
   bench::print_preamble("Figure 2: sample sort", cfg, cal);

@@ -28,7 +28,7 @@ int run(int argc, const char* const* argv) {
   args.flag_i64("iteration-c", 4, "elimination iterations per log2(p)");
   if (!args.parse(argc, argv)) return 0;
   const auto cfg = bench::read_common_flags(args);
-  const int c = static_cast<int>(args.i64("iteration-c"));
+  const int c = args.i32("iteration-c");
 
   const auto cal = models::calibrate(cfg.machine);
   bench::print_preamble("Figure 3: list ranking", cfg, cal);

@@ -85,7 +85,7 @@ int run(int argc, const char* const* argv) {
                 "scratch directory for throwaway cache files");
   if (!args.parse(argc, argv)) return 0;
   const auto cfg = bench::read_common_flags(args);
-  const int points = static_cast<int>(args.i64("points"));
+  const int points = args.i32("points");
   const auto n = static_cast<std::uint64_t>(args.i64("n"));
   const auto curve = bench::parse_csv_i64(args.str("jobs-curve"));
   const std::string scratch = args.str("scratch");

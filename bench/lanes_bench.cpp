@@ -1,15 +1,16 @@
-// Lane-engine benchmark: what the cooperative fiber lanes buy.
+// Lane sync-floor benchmark: what one phase costs the program-lane engine.
 //
-// The tentpole claim is host throughput at p >> host cores: with thread
-// lanes, every phase pays p futex sleep/wake pairs at the barrier; with
-// fiber lanes a phase is p user-space context switches on a handful of
-// carriers. This bench runs a barrier-dominated synthetic program (one
-// word exchanged per node per phase — all overhead, no work) at
-// p in {16, 64, 256} under both engines, reports phases/sec, and emits
-// BENCH_lanes.json next to the other machine-readable bench outputs.
+// Every program lane is a stackful fiber on a carrier thread (DESIGN.md
+// §4), so a phase with no work still pays p user-space park/resume
+// switches, the cross-carrier wakeups and the barrier. This bench runs a
+// barrier-dominated synthetic program (one word exchanged per node per
+// phase — all overhead, no work) at p in {16, 64, 256}, reports
+// phases/sec, OS threads created and carriers, and emits BENCH_lanes.json
+// next to the other machine-readable bench outputs.
 //
-// Both engines must produce the same trace — that is checked here too, and
-// the JSON says so, but the parity *test* suite is the real oracle.
+// Each width's trace is also checked against a run on one carrier (lanes
+// in rank order); the carrier count may not change a simulated number.
+// The lane-parity test suites are the real oracle.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -18,29 +19,29 @@
 #include <vector>
 
 #include "common.hpp"
+#include "core/exec.hpp"
 #include "core/runtime.hpp"
-#include "support/fiber.hpp"
 #include "support/json.hpp"
 
 namespace {
 
 using namespace qsm;
 
-struct ModeTiming {
+struct LaneTiming {
   double best_seconds{0};
   std::uint64_t threads_created{0};
   int carriers{0};
   rt::RunResult trace;
 };
 
-/// Runs `phases` one-word ring-exchange phases at width p under `lanes`,
-/// `reps` times on one long-lived runtime (pools warm after the first
-/// run), and keeps the best wall-clock.
-ModeTiming time_mode(const machine::MachineConfig& base, int p, int phases,
-                     int reps, std::uint64_t seed, rt::LaneMode lanes) {
+/// Runs `phases` one-word ring-exchange phases at width p, `reps` times on
+/// one long-lived runtime (carriers warm after the first run), and keeps
+/// the best wall-clock.
+LaneTiming time_lanes(const machine::MachineConfig& base, int p, int phases,
+                      int reps, std::uint64_t seed) {
   auto variant = base;
   variant.p = p;
-  rt::Runtime runtime(variant, rt::Options{.seed = seed, .lanes = lanes});
+  rt::Runtime runtime(variant, rt::Options{.seed = seed});
   auto a = runtime.alloc<std::int64_t>(static_cast<std::uint64_t>(p),
                                        rt::Layout::Block);
   const auto program = [&](rt::Context& ctx) {
@@ -52,14 +53,14 @@ ModeTiming time_mode(const machine::MachineConfig& base, int p, int phases,
     }
   };
 
-  ModeTiming t;
-  t.trace = runtime.run(program);  // warm-up: creates lanes/carriers
+  LaneTiming t;
+  t.trace = runtime.run(program);  // warm-up: creates the carriers
   t.best_seconds = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     const auto r = runtime.run(program);
     const auto t1 = std::chrono::steady_clock::now();
-    QSM_REQUIRE(r.phases == t.trace.phases, "phase count drifted across reps");
+    QSM_REQUIRE(r == t.trace, "trace drifted across reps");
     t.best_seconds =
         std::min(t.best_seconds, std::chrono::duration<double>(t1 - t0).count());
   }
@@ -70,7 +71,7 @@ ModeTiming time_mode(const machine::MachineConfig& base, int p, int phases,
 
 int run(int argc, const char* const* argv) {
   support::ArgParser args("bench_lanes",
-                          "thread vs fiber program lanes: phases/sec on a "
+                          "fiber program lanes: phases/sec on a "
                           "barrier-dominated workload");
   bench::register_common_flags(args);
   args.flag_str("procs", "16,64,256", "comma-separated processor counts");
@@ -78,60 +79,50 @@ int run(int argc, const char* const* argv) {
   args.flag_str("out", "BENCH_lanes.json", "machine-readable output file");
   if (!args.parse(argc, argv)) return 0;
   const auto cfg = bench::read_common_flags(args);
-  const int phases = static_cast<int>(args.i64("phases"));
+  const int phases = args.i32("phases");
   const auto procs = bench::parse_csv_i64(args.str("procs"));
-
-  if (!support::fibers_supported()) {
-    std::printf("no fiber substrate on this platform; nothing to compare.\n");
-    return 0;
-  }
 
   const int host_cores =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int thread_budget = rt::host_thread_budget();
   std::printf(
-      "== Lane engines (machine %s, %d phases/run, %d reps, %d host "
-      "core%s) ==\n\n",
-      cfg.machine.name.c_str(), phases, cfg.reps, host_cores,
-      host_cores == 1 ? "" : "s");
+      "== Lane sync floor (machine %s, %d phases/run, %d reps, %d host "
+      "cores, thread budget %d) ==\n\n",
+      cfg.machine.name.c_str(), phases, cfg.reps, host_cores, thread_budget);
 
   struct Row {
     int p;
-    ModeTiming threads;
-    ModeTiming fibers;
+    LaneTiming lanes;
     bool identical;
   };
   std::vector<Row> rows;
   for (const long long pll : procs) {
     Row row;
     row.p = static_cast<int>(pll);
-    row.threads = time_mode(cfg.machine, row.p, phases, cfg.reps, cfg.seed,
-                            rt::LaneMode::Threads);
-    row.fibers = time_mode(cfg.machine, row.p, phases, cfg.reps, cfg.seed,
-                           rt::LaneMode::Fibers);
-    row.identical = row.threads.trace == row.fibers.trace;
+    row.lanes = time_lanes(cfg.machine, row.p, phases, cfg.reps, cfg.seed);
+    // The same program on one carrier: the budget is read when the runtime
+    // is built, so it is restored before the next width.
+    rt::set_host_thread_budget(1);
+    row.identical =
+        time_lanes(cfg.machine, row.p, phases, 0, cfg.seed).trace ==
+        row.lanes.trace;
+    rt::set_host_thread_budget(thread_budget);
     rows.push_back(row);
   }
 
-  support::TextTable table({"p", "threads ph/s", "fibers ph/s",
-                            "fiber speedup", "OS threads (thr)",
-                            "OS threads (fib)", "carriers"});
+  support::TextTable table({"p", "phases/s", "OS threads", "carriers"});
   table.set_precision(1, 0);
-  table.set_precision(2, 0);
-  table.set_precision(3, 2);
   for (const Row& row : rows) {
     table.add_row({static_cast<long long>(row.p),
-                   phases / row.threads.best_seconds,
-                   phases / row.fibers.best_seconds,
-                   row.threads.best_seconds / row.fibers.best_seconds,
-                   static_cast<long long>(row.threads.threads_created),
-                   static_cast<long long>(row.fibers.threads_created),
-                   static_cast<long long>(row.fibers.carriers)});
+                   phases / row.lanes.best_seconds,
+                   static_cast<long long>(row.lanes.threads_created),
+                   static_cast<long long>(row.lanes.carriers)});
   }
   bench::emit(table, cfg);
 
   bool all_identical = true;
   for (const Row& row : rows) all_identical = all_identical && row.identical;
-  std::printf("traces identical across engines: %s\n",
+  std::printf("traces identical to one-carrier runs: %s\n",
               all_identical ? "yes" : "NO — determinism bug");
 
   support::JsonWriter json;
@@ -146,6 +137,8 @@ int run(int argc, const char* const* argv) {
   json.value(static_cast<std::int64_t>(cfg.reps));
   json.key("host_cores");
   json.value(static_cast<std::int64_t>(host_cores));
+  json.key("host_thread_budget");
+  json.value(static_cast<std::int64_t>(thread_budget));
   json.key("traces_identical");
   json.value(all_identical);
   json.key("grid");
@@ -154,22 +147,14 @@ int run(int argc, const char* const* argv) {
     json.begin_object();
     json.key("p");
     json.value(static_cast<std::int64_t>(row.p));
-    json.key("thread_seconds");
-    json.value(row.threads.best_seconds);
-    json.key("fiber_seconds");
-    json.value(row.fibers.best_seconds);
-    json.key("thread_phases_per_sec");
-    json.value(phases / row.threads.best_seconds);
-    json.key("fiber_phases_per_sec");
-    json.value(phases / row.fibers.best_seconds);
-    json.key("fiber_speedup");
-    json.value(row.threads.best_seconds / row.fibers.best_seconds);
-    json.key("thread_os_threads");
-    json.value(static_cast<std::uint64_t>(row.threads.threads_created));
-    json.key("fiber_os_threads");
-    json.value(static_cast<std::uint64_t>(row.fibers.threads_created));
+    json.key("seconds");
+    json.value(row.lanes.best_seconds);
+    json.key("phases_per_sec");
+    json.value(phases / row.lanes.best_seconds);
+    json.key("os_threads");
+    json.value(static_cast<std::uint64_t>(row.lanes.threads_created));
     json.key("carriers");
-    json.value(static_cast<std::int64_t>(row.fibers.carriers));
+    json.value(static_cast<std::int64_t>(row.lanes.carriers));
     json.end_object();
   }
   json.end_array();
@@ -184,11 +169,6 @@ int run(int argc, const char* const* argv) {
   std::fprintf(f, "%s\n", json.str().c_str());
   std::fclose(f);
   std::printf("(json written to %s)\n", out_path.c_str());
-  std::printf(
-      "expected shape: fiber speedup growing with p once p passes the host "
-      "core count — thread lanes pay p futex round-trips per phase, fiber "
-      "lanes p user-space switches on %d carrier(s).\n",
-      rows.empty() ? 0 : rows.back().fibers.carriers);
   return all_identical ? 0 : 1;
 }
 

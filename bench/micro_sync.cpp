@@ -34,9 +34,9 @@ int run(int argc, const char* const* argv) {
   args.flag_str("layout", "cyclic", "array layout: block|cyclic|hashed");
   if (!args.parse(argc, argv)) return 0;
 
-  const int p = static_cast<int>(args.i64("procs"));
+  const int p = args.i32("procs");
   const auto n = static_cast<std::uint64_t>(args.i64("words"));
-  const int reps = static_cast<int>(args.i64("reps"));
+  const int reps = args.i32("reps");
   const std::string layout_name = args.str("layout");
   rt::Layout layout = rt::Layout::Cyclic;
   if (layout_name == "block") {
@@ -51,7 +51,7 @@ int run(int argc, const char* const* argv) {
 
   rt::Runtime runtime(
       machine::default_sim(p),
-      rt::Options{.host_workers = static_cast<int>(args.i64("workers"))});
+      rt::Options{.host_workers = args.i32("workers")});
   auto a = runtime.alloc<std::int64_t>(n, layout);
   const std::uint64_t per = n / static_cast<std::uint64_t>(p);
 

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(quick ? 300 : args.i64("records"));
   const auto value_bytes = static_cast<std::size_t>(args.i64("value-bytes"));
   const std::int64_t lookups = quick ? 5000 : args.i64("lookups");
-  const int reps = quick ? 1 : static_cast<int>(args.i64("reps"));
+  const int reps = quick ? 1 : args.i32("reps");
   const std::string scratch = args.str("scratch");
   // Both numbers say what host the rows below came from.
   const int host_cores =

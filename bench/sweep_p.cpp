@@ -89,7 +89,8 @@ int run(int argc, const char* const* argv) {
       std::printf(
           "p=%d: [%lld, %lld] is below this width's feasibility floor; "
           "window slid to [%llu, %llu]\n",
-          p, args.i64("nmin"), args.i64("nmax"),
+          p, static_cast<long long>(args.i64("nmin")),
+          static_cast<long long>(args.i64("nmax")),
           static_cast<unsigned long long>(slice.front()),
           static_cast<unsigned long long>(slice.back()));
     }

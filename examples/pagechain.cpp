@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
   const auto n = static_cast<std::uint64_t>(args.i64("n"));
   auto cfg = machine::preset_by_name(args.str("machine"));
-  cfg.p = static_cast<int>(args.i64("p"));
+  cfg.p = args.i32("p");
 
   // Revisions arrive in random order relative to the chain: exactly the
   // random block assignment the list-ranking algorithm asks for.

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::uint64_t>(args.i64("members"));
   auto cfg = machine::preset_by_name(args.str("machine"));
-  cfg.p = static_cast<int>(args.i64("p"));
+  cfg.p = args.i32("p");
 
   const auto graph = algos::make_random_graph(n, args.f64("friends"), 42);
   std::printf("social graph: %llu members, %llu friendship links, "

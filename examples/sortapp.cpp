@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   args.flag_i64("p", 8, "processors to use on every machine");
   if (!args.parse(argc, argv)) return 0;
   const auto n = static_cast<std::uint64_t>(args.i64("n"));
-  const int p = static_cast<int>(args.i64("p"));
+  const int p = args.i32("p");
 
   std::vector<std::int64_t> keys(n);
   {

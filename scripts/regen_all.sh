@@ -43,9 +43,7 @@ SUMMARY=""
 TOTAL_MS=0
 
 # Every ported binary goes through the scheduler: forward the job count and
-# pin the cache under the chosen outputs dir. --lanes auto lets each runtime
-# pick fiber lanes whenever its simulated width exceeds the host thread
-# budget (a host-throughput knob only; simulated numbers are identical).
+# pin the cache under the chosen outputs dir.
 run() {
   local name="$1"
   shift
@@ -53,7 +51,7 @@ run() {
   local t0 t1 dt
   t0=$(now_ms)
   "$BUILD/bench/$name" --csv "$OUT/$name.csv" \
-    --jobs "$JOBS" --cache-dir "$CACHE" --lanes auto "$@" | tee "$OUT/$name.txt"
+    --jobs "$JOBS" --cache-dir "$CACHE" "$@" | tee "$OUT/$name.txt"
   t1=$(now_ms)
   dt=$((t1 - t0))
   TOTAL_MS=$((TOTAL_MS + dt))
@@ -129,7 +127,7 @@ else
   run bench_harness --out "$OUT/BENCH_harness.json" \
     --scratch "$OUT/.bench_harness_scratch"
 
-  # Lane-engine benchmark: thread vs fiber phases/sec at p >> host cores.
+  # Lane sync floor: fiber-lane phases/sec at p >> host cores.
   run bench_lanes --out "$OUT/BENCH_lanes.json"
 
   run_raw bench_micro_host --benchmark_min_time=0.05

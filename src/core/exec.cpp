@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <thread>
 #include <vector>
 
@@ -15,8 +16,6 @@ namespace {
 /// 0 = no explicit budget installed; fall back to hardware concurrency.
 std::atomic<int> g_thread_budget{0};
 
-std::atomic<LaneMode> g_default_lane_mode{LaneMode::Auto};
-
 int hardware_threads() {
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
   // hardware_concurrency() may return 0 ("unknown"); treat as 1.
@@ -28,20 +27,6 @@ int default_phase_workers(int nprocs) {
   // that. The budget term is what keeps concurrent sweep jobs from
   // oversubscribing the host (see host_thread_budget()).
   return std::clamp(std::min(nprocs, host_thread_budget()), 1, 8);
-}
-
-LaneMode resolve_lane_mode(LaneMode requested, int nprocs) {
-  if (requested == LaneMode::Auto) requested = default_lane_mode();
-  if (requested == LaneMode::Auto) {
-    // The policy: p thread lanes beyond the host budget buy nothing but
-    // kernel context switches at every phase barrier.
-    requested = nprocs > host_thread_budget() ? LaneMode::Fibers
-                                              : LaneMode::Threads;
-  }
-  if (requested == LaneMode::Fibers && !support::fibers_supported()) {
-    requested = LaneMode::Threads;  // guarded platform fallback
-  }
-  return requested;
 }
 
 /// Per-lane parking slot. Lives in the carrier's lane table; exposed to
@@ -64,32 +49,6 @@ int host_thread_budget() {
 void set_host_thread_budget(int threads) {
   g_thread_budget.store(threads > 0 ? threads : 0,
                         std::memory_order_relaxed);
-}
-
-LaneMode default_lane_mode() {
-  return g_default_lane_mode.load(std::memory_order_relaxed);
-}
-
-void set_default_lane_mode(LaneMode mode) {
-  g_default_lane_mode.store(mode, std::memory_order_relaxed);
-}
-
-LaneMode lane_mode_from_string(const std::string& name) {
-  if (name == "auto") return LaneMode::Auto;
-  if (name == "threads") return LaneMode::Threads;
-  if (name == "fibers") return LaneMode::Fibers;
-  throw support::ContractViolation(
-      "unknown lane mode '" + name + "' (expected auto, threads, or fibers)",
-      std::source_location::current());
-}
-
-const char* lane_mode_name(LaneMode mode) {
-  switch (mode) {
-    case LaneMode::Auto: return "auto";
-    case LaneMode::Threads: return "threads";
-    case LaneMode::Fibers: return "fibers";
-  }
-  return "?";
 }
 
 /// Fiber parking/wakeup state shared by one executor's carriers and lanes.
@@ -126,37 +85,20 @@ struct Executor::LaneSched {
   }
 };
 
-Executor::Executor(int nprocs, int phase_workers, LaneMode lanes)
+Executor::Executor(int nprocs, int phase_workers)
     : nprocs_(nprocs),
       phase_workers_(phase_workers > 0 ? phase_workers
                                        : default_phase_workers(nprocs)),
-      lane_mode_(resolve_lane_mode(lanes, nprocs)) {
+      // Carriers are compute resources like phase workers: sized from the
+      // host budget, never from p.
+      carriers_(std::clamp(std::min(nprocs, host_thread_budget()), 1, 16)),
+      sched_(std::make_unique<LaneSched>()) {
   QSM_REQUIRE(nprocs_ >= 1, "executor needs at least one program lane");
-  if (lane_mode_ == LaneMode::Fibers) {
-    // Carriers are compute resources like phase workers: sized from the
-    // host budget, never from p.
-    carriers_ = std::clamp(std::min(nprocs_, host_thread_budget()), 1, 16);
-    sched_ = std::make_unique<LaneSched>();
-  }
 }
 
 Executor::~Executor() = default;
 
 void Executor::run_program(const std::function<void(int)>& fn) {
-  if (lane_mode_ == LaneMode::Fibers) {
-    run_fiber_program(fn);
-    return;
-  }
-  if (!lanes_) {
-    lanes_ = std::make_unique<support::WorkerPool>(nprocs_);
-  }
-  lanes_->parallel_for(static_cast<std::size_t>(nprocs_),
-                       [&fn](std::size_t rank) {
-                         fn(static_cast<int>(rank));
-                       });
-}
-
-void Executor::run_fiber_program(const std::function<void(int)>& fn) {
   if (!carrier_pool_) {
     carrier_pool_ = std::make_unique<support::WorkerPool>(carriers_);
   }
@@ -167,8 +109,8 @@ void Executor::run_fiber_program(const std::function<void(int)>& fn) {
 }
 
 void Executor::run_carrier(int carrier, const std::function<void(int)>& fn) {
-  // This carrier owns ranks {carrier, carrier + C, ...}: the same static
-  // striding as thread lanes, so lane-to-host placement is deterministic.
+  // This carrier owns ranks {carrier, carrier + C, ...}: static striding,
+  // so lane-to-host placement is deterministic.
   struct Lane {
     std::unique_ptr<support::Fiber> fiber;
     LanePark park;
@@ -211,29 +153,22 @@ void Executor::run_carrier(int carrier, const std::function<void(int)>& fn) {
 
 void Executor::lane_wait(std::unique_lock<std::mutex>& lk,
                          const std::function<bool()>& pred) {
-  if (lane_mode_ == LaneMode::Fibers && support::Fiber::in_fiber()) {
-    while (!pred()) {
-      // Order matters: snapshot the generation while the caller's mutex is
-      // still held. Any transition that makes pred() true also bumps the
-      // generation under that same mutex, so it must come after this read
-      // and the carrier will see gen != park_gen.
-      LanePark* park = tl_park;
-      QSM_REQUIRE(park != nullptr, "fiber lane has no parking slot");
-      park->parked = true;
-      park->park_gen = sched_->gen.load(std::memory_order_acquire);
-      lk.unlock();
-      support::Fiber::yield();
-      lk.lock();
-    }
-    return;
+  LanePark* park = tl_park;
+  QSM_REQUIRE(park != nullptr, "lane_wait() outside a program lane");
+  while (!pred()) {
+    // Order matters: snapshot the generation while the caller's mutex is
+    // still held. Any transition that makes pred() true also bumps the
+    // generation under that same mutex, so it must come after this read
+    // and the carrier will see gen != park_gen.
+    park->parked = true;
+    park->park_gen = sched_->gen.load(std::memory_order_acquire);
+    lk.unlock();
+    support::Fiber::yield();
+    lk.lock();
   }
-  lane_cv_.wait(lk, [&] { return pred(); });
 }
 
-void Executor::lane_notify_all() {
-  if (sched_) sched_->notify_all();
-  lane_cv_.notify_all();
-}
+void Executor::lane_notify_all() { sched_->notify_all(); }
 
 // Tasks are whatever the caller enumerates — the sparse phase pipeline
 // passes its *active* source/owner lists here, so a phase's host work
@@ -252,8 +187,7 @@ void Executor::parallel(std::size_t tasks, bool spread,
 }
 
 std::uint64_t Executor::host_threads_created() const {
-  return (lanes_ ? lanes_->threads_created() : 0) +
-         (carrier_pool_ ? carrier_pool_->threads_created() : 0) +
+  return (carrier_pool_ ? carrier_pool_->threads_created() : 0) +
          (phase_pool_ ? phase_pool_->threads_created() : 0);
 }
 

@@ -1,23 +1,18 @@
 // Host-side execution layer of the runtime.
 //
 // The Executor owns every OS thread the runtime uses and reuses them across
-// run() calls. Simulated processors execute on "program lanes", and the
-// lane engine has two interchangeable implementations:
+// run() calls. Simulated processors execute on "program lanes": p stackful
+// fibers (support/fiber) multiplexed onto a small set of carrier threads.
+// A lane blocked at the phase barrier parks with a user-space context
+// switch; the kernel is only involved when a whole carrier runs out of
+// runnable lanes. This is what makes p >> host cores simulations run at
+// full speed, and it bounds host_threads_created() by the carrier count
+// instead of p.
 //
-//   - Thread lanes: p persistent OS threads, one per simulated processor.
-//     Every rank may block in the kernel at the phase barrier; simple, but
-//     a p=256 run pays 256 futex sleeps/wakes per phase.
-//   - Fiber lanes: p stackful fibers (support/fiber) multiplexed onto a
-//     small set of carrier threads. A lane blocked at the phase barrier
-//     parks with a user-space context switch; the kernel is only involved
-//     when a whole carrier runs out of runnable lanes. This is what makes
-//     p >> host cores simulations run at full speed, and it bounds
-//     host_threads_created() by the carrier count instead of p.
-//
-// The lane mode is a host-throughput knob like the phase-worker count: the
-// determinism guarantee (DESIGN.md §4) means no mode choice may change a
-// single simulated number — the GoldenDeterminism and lane-parity suites
-// pin exactly that.
+// The carrier count is a host-throughput knob like the phase-worker count:
+// the determinism guarantee (DESIGN.md §4) means no carrier count may
+// change a single simulated number — the GoldenDeterminism and lane-parity
+// suites pin exactly that.
 //
 // The executor also owns an optional pool of phase workers that the
 // PhasePipeline uses to parallelize classification and data movement inside
@@ -25,13 +20,11 @@
 // processors are a model parameter; host workers are a hardware resource).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "support/worker_pool.hpp"
 
@@ -47,8 +40,7 @@ namespace qsm::rt {
 /// budget to the per-job share while its workers run; every Executor built
 /// with `phase_workers <= 0` sizes its pool from the budget *at
 /// construction time* (min(nprocs, budget, 8)). Fiber carriers follow the
-/// same rule, and LaneMode::Auto consults the budget to decide when p
-/// thread lanes would oversubscribe the host. No budget value may change a
+/// same rule (min(nprocs, budget, 16)). No budget value may change a
 /// simulated number; this is purely a host-throughput knob.
 ///
 /// Returns the hardware concurrency (>= 1) until set_host_thread_budget()
@@ -59,49 +51,26 @@ namespace qsm::rt {
 /// default.
 void set_host_thread_budget(int threads);
 
-/// How program lanes map onto OS threads.
-enum class LaneMode {
-  Auto,     ///< fibers when p exceeds the host thread budget, else threads
-  Threads,  ///< one OS thread per simulated processor
-  Fibers,   ///< cooperative fibers on carrier threads (thread fallback when
-            ///< the platform has no fiber substrate)
-};
-
-/// Process-wide default that LaneMode::Auto resolves through before the
-/// p-vs-budget policy — the hook for the benches' `--lanes=` flag. Auto
-/// (the initial value) defers to the policy; Threads/Fibers force a mode
-/// for every Executor whose own option is Auto.
-[[nodiscard]] LaneMode default_lane_mode();
-void set_default_lane_mode(LaneMode mode);
-
-/// "auto" / "threads" / "fibers" (flag spelling); throws on anything else.
-[[nodiscard]] LaneMode lane_mode_from_string(const std::string& name);
-[[nodiscard]] const char* lane_mode_name(LaneMode mode);
-
 class Executor {
  public:
-  /// `nprocs` program lanes; `phase_workers` <= 0 picks a host-sized
-  /// default (min(nprocs, hardware cores, 8)), 1 disables phase
-  /// parallelism. `lanes` is resolved here, once: Auto consults
-  /// default_lane_mode(), then picks fibers iff they are supported and
-  /// nprocs exceeds the host thread budget.
-  Executor(int nprocs, int phase_workers, LaneMode lanes = LaneMode::Auto);
+  /// `nprocs` program lanes on clamp(min(nprocs, host thread budget), 1,
+  /// 16) carriers; `phase_workers` <= 0 picks a host-sized default
+  /// (min(nprocs, budget, 8)), 1 disables phase parallelism.
+  Executor(int nprocs, int phase_workers);
   ~Executor();
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Runs fn(rank) for every rank on the persistent program lanes; blocks
-  /// until all lanes finish. Lanes may block on each other through
-  /// lane_wait() (the phase barrier): thread lanes give every rank its own
-  /// OS thread, fiber lanes park cooperatively on their carrier.
+  /// Runs fn(rank) for every rank on the program lanes; blocks until all
+  /// lanes finish. Lanes may block on each other through lane_wait() (the
+  /// phase barrier), which parks them cooperatively on their carrier.
   void run_program(const std::function<void(int)>& fn);
 
   /// Blocks the calling program lane until pred() holds; must be called
-  /// with `lk` locked, and pred changes must be announced with
-  /// lane_notify_all() (condition-variable discipline). On thread lanes
-  /// this is a cv wait; on fiber lanes the lane parks in user space and
-  /// its carrier runs sibling lanes instead.
+  /// from a lane with `lk` locked, and pred changes must be announced with
+  /// lane_notify_all() (condition-variable discipline). The lane parks in
+  /// user space and its carrier runs sibling lanes instead.
   void lane_wait(std::unique_lock<std::mutex>& lk,
                  const std::function<bool()>& pred);
 
@@ -129,34 +98,27 @@ class Executor {
     return static_cast<int>(task % static_cast<std::size_t>(w));
   }
 
-  /// Resolved lane engine: Threads or Fibers, never Auto.
-  [[nodiscard]] LaneMode lane_mode() const { return lane_mode_; }
-  /// Carrier threads multiplexing the fiber lanes (0 in thread mode).
+  /// Carrier threads multiplexing the program lanes.
   [[nodiscard]] int carriers() const { return carriers_; }
 
-  /// Total OS threads this executor has ever created. Stable across
-  /// repeated run_program() calls once the pools exist — the executor
-  /// reuse tests assert exactly that. In fiber mode the program-lane
-  /// contribution is the carrier count, not p.
+  /// Total OS threads this executor has ever created: the carriers plus
+  /// the phase workers, never p. Stable across repeated run_program()
+  /// calls once the pools exist — the executor reuse tests assert exactly
+  /// that.
   [[nodiscard]] std::uint64_t host_threads_created() const;
 
  private:
   struct LaneSched;  // fiber parking/wakeup state, defined in exec.cpp
 
-  void run_fiber_program(const std::function<void(int)>& fn);
   void run_carrier(int carrier, const std::function<void(int)>& fn);
 
   int nprocs_;
   int phase_workers_;
-  LaneMode lane_mode_;
-  int carriers_{0};
+  int carriers_;
   /// Lazily built so host-only Runtime use (alloc/host_fill/host_read)
   /// never spawns a thread.
-  std::unique_ptr<support::WorkerPool> lanes_;
   std::unique_ptr<support::WorkerPool> carrier_pool_;
   std::unique_ptr<support::WorkerPool> phase_pool_;
-  /// Thread-lane wait/notify; fiber lanes use sched_ instead.
-  std::condition_variable lane_cv_;
   std::unique_ptr<LaneSched> sched_;
 };
 

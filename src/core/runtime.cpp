@@ -19,9 +19,8 @@ static_assert(std::endian::native == std::endian::little,
 /// the barrier calls abort_with() to wake the others.
 ///
 /// Waiting goes through Executor::lane_wait/lane_notify_all rather than a
-/// condition variable of its own: on thread lanes that is exactly a cv
-/// wait, on fiber lanes the blocked lane parks in user space and its
-/// carrier keeps running sibling lanes. Every pred-changing transition
+/// condition variable of its own: the blocked lane parks in user space and
+/// its carrier keeps running sibling lanes. Every pred-changing transition
 /// below notifies under `m`, which is what the fiber parking protocol
 /// needs to never lose a wakeup.
 struct Runtime::Barrier {
@@ -148,7 +147,7 @@ Runtime::Runtime(machine::MachineConfig cfg, Options opts)
     : comm_(std::move(cfg)),
       opts_(opts),
       store_(opts.seed, comm_.nprocs()),
-      exec_(comm_.nprocs(), opts.host_workers, opts.lanes),
+      exec_(comm_.nprocs(), opts.host_workers),
       pipeline_(store_, comm_, exec_, opts.check_rules, opts.track_kappa),
       nodes_(static_cast<std::size_t>(comm_.nprocs())),
       watchdog_(support::pending_watchdog()),

@@ -23,8 +23,9 @@
 // DESIGN.md "Runtime architecture"):
 //   SharedStore   (core/store) — array storage, layouts, ownership queries;
 //   PhasePipeline (core/phase) — classify / move / price inside the barrier;
-//   Executor      (core/exec)  — persistent host threads for program lanes
-//                                and phase workers, reused across run()s.
+//   Executor      (core/exec)  — fiber program lanes on persistent carrier
+//                                threads, plus phase workers, reused
+//                                across run()s.
 #pragma once
 
 #include <cstddef>
@@ -67,8 +68,8 @@ struct GlobalArray {
 };
 
 /// Runtime options. `seed`, `check_rules` and `track_kappa` define the run;
-/// `host_workers` and `lanes` only choose how the host executes it, and no
-/// value of theirs changes a simulated number.
+/// `host_workers` only chooses how the host executes it, and no value of it
+/// changes a simulated number.
 struct Options {
   /// Seed for all per-node RNG streams and hashed layouts.
   std::uint64_t seed{1};
@@ -82,12 +83,6 @@ struct Options {
   /// the host's core count, 1 forces serial phase processing. Purely a
   /// host-throughput knob — simulated timing is identical for any value.
   int host_workers{0};
-  /// Program-lane engine: threads (one OS thread per simulated processor),
-  /// fibers (cooperative lanes on carrier threads), or Auto, which defers
-  /// to rt::default_lane_mode() and then picks fibers whenever p exceeds
-  /// the host thread budget. Like host_workers, a pure host-throughput
-  /// knob: every mode produces bit-identical traces.
-  LaneMode lanes{LaneMode::Auto};
 };
 
 class Runtime;
@@ -193,14 +188,14 @@ class Runtime {
   template <Word T>
   [[nodiscard]] std::vector<T> host_read(GlobalArray<T> a);
 
-  /// Runs `program` once on every simulated processor (p persistent host
-  /// lanes). The program must be bulk-synchronous: every node executes the
-  /// same number of sync() calls. Clocks reset at the start of each run;
-  /// array contents persist across runs.
+  /// Runs `program` once on every simulated processor (p fiber lanes on
+  /// persistent carrier threads). The program must be bulk-synchronous:
+  /// every node executes the same number of sync() calls. Clocks reset at
+  /// the start of each run; array contents persist across runs.
   RunResult run(const std::function<void(Context&)>& program);
 
   /// Total OS threads the runtime has created so far. Constant across
-  /// repeated run() calls: lanes and phase workers are persistent.
+  /// repeated run() calls: carriers and phase workers are persistent.
   [[nodiscard]] std::uint64_t host_threads_created() const {
     return exec_.host_threads_created();
   }
@@ -208,9 +203,8 @@ class Runtime {
   [[nodiscard]] int host_phase_workers() const {
     return exec_.phase_workers();
   }
-  /// Resolved program-lane engine (never LaneMode::Auto).
-  [[nodiscard]] LaneMode lane_mode() const { return exec_.lane_mode(); }
-  /// Carrier threads multiplexing fiber lanes (0 in thread mode).
+  /// Carrier threads multiplexing the p fiber lanes:
+  /// clamp(min(p, host thread budget at construction), 1, 16).
   [[nodiscard]] int host_carriers() const { return exec_.carriers(); }
 
  private:

@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -120,6 +121,15 @@ const ArgParser::Flag& ArgParser::lookup(const std::string& name,
 
 std::int64_t ArgParser::i64(const std::string& name) const {
   return std::stoll(lookup(name, Kind::I64).value);
+}
+
+int ArgParser::i32(const std::string& name) const {
+  const std::int64_t v = i64(name);
+  QSM_REQUIRE(v >= std::numeric_limits<int>::min() &&
+                  v <= std::numeric_limits<int>::max(),
+              "flag --" + name + " value " + std::to_string(v) +
+                  " does not fit an int");
+  return static_cast<int>(v);
 }
 
 double ArgParser::f64(const std::string& name) const {

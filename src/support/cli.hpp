@@ -32,6 +32,9 @@ class ArgParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::int64_t i64(const std::string& name) const;
+  /// An int64 flag's value as an int; throws ContractViolation naming the
+  /// flag and its value when it does not fit (rather than wrapping it).
+  [[nodiscard]] int i32(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;
   [[nodiscard]] bool boolean(const std::string& name) const;
   [[nodiscard]] const std::string& str(const std::string& name) const;

@@ -4,13 +4,10 @@
 
 #include "support/contract.hpp"
 
-// The fiber substrate is POSIX ucontext. Windows would use its native fiber
-// API; neither is wired here — fibers_supported() reports the truth and the
-// Executor falls back to thread lanes.
-#if defined(__unix__) || defined(__APPLE__)
-#define QSM_FIBERS_UCONTEXT 1
+// The fiber substrate is POSIX ucontext. The tree builds on POSIX hosts
+// only (the durable store and the watchdog use <fcntl.h>/<unistd.h> too),
+// so there is no fallback engine.
 #include <ucontext.h>
-#endif
 
 // Sanitizer fiber hooks. GCC defines __SANITIZE_*__; Clang exposes
 // __has_feature. The interface headers ship with both compilers, but the
@@ -42,9 +39,8 @@
 // are placed around it, and those builds measure correctness, not phases
 // per second. Fortified builds also keep it (- _FORTIFY_SOURCE's longjmp
 // check rejects cross-stack jumps).
-#if defined(QSM_FIBERS_UCONTEXT) && defined(__linux__) && \
-    !defined(QSM_FIBER_TSAN) && !defined(QSM_FIBER_ASAN) && \
-    !defined(_FORTIFY_SOURCE)
+#if defined(__linux__) && !defined(QSM_FIBER_TSAN) && \
+    !defined(QSM_FIBER_ASAN) && !defined(_FORTIFY_SOURCE)
 #define QSM_FIBER_FAST_SWITCH 1
 #include <setjmp.h>
 #endif
@@ -77,16 +73,6 @@ void __sanitizer_finish_switch_fiber(void* fake_stack_save,
 #endif
 
 namespace qsm::support {
-
-bool fibers_supported() {
-#if defined(QSM_FIBERS_UCONTEXT)
-  return true;
-#else
-  return false;
-#endif
-}
-
-#if defined(QSM_FIBERS_UCONTEXT)
 
 namespace {
 /// Fiber currently executing on this thread; null in carrier context.
@@ -239,20 +225,5 @@ void Fiber::yield() {
 }
 
 bool Fiber::in_fiber() { return tl_running != nullptr; }
-
-#else  // !QSM_FIBERS_UCONTEXT
-
-struct Fiber::Impl {};
-
-Fiber::Fiber(std::function<void()>, std::size_t) {
-  QSM_REQUIRE(false, "fibers are not supported on this platform");
-}
-Fiber::~Fiber() = default;
-void Fiber::resume() {}
-bool Fiber::finished() const { return true; }
-void Fiber::yield() {}
-bool Fiber::in_fiber() { return false; }
-
-#endif  // QSM_FIBERS_UCONTEXT
 
 }  // namespace qsm::support

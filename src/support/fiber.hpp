@@ -9,8 +9,8 @@
 // sleeping in the kernel, so p = 512 costs 512 swapcontext calls per phase
 // rather than 512 OS context switches.
 //
-// Implementation is POSIX makecontext/swapcontext (see fibers_supported();
-// callers must fall back to one-OS-thread-per-lane elsewhere). Sanitizer
+// Implementation is POSIX makecontext/swapcontext, with a register-only
+// _setjmp/_longjmp switch on plain Linux builds (see fiber.cpp). Sanitizer
 // support is first-class: every switch is bracketed with the TSan fiber API
 // (__tsan_create_fiber / __tsan_switch_to_fiber) so TSan tracks each fiber
 // as its own logical thread, and with the ASan fake-stack API
@@ -25,11 +25,6 @@
 #include <memory>
 
 namespace qsm::support {
-
-/// True when this build has the ucontext fiber substrate. When false, every
-/// Fiber constructor throws; callers are expected to gate on this and keep
-/// using plain threads.
-[[nodiscard]] bool fibers_supported();
 
 class Fiber {
  public:

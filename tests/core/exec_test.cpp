@@ -1,22 +1,28 @@
 // Executor reuse and host-parallelism plumbing.
 //
-// The refactor's contract: run() executes on persistent program lanes and
-// the phase pipeline on a persistent worker pool, so a long-lived Runtime
-// creates a fixed number of OS threads no matter how many programs it runs
-// — and the phase-worker count is invisible to program results.
+// The refactor's contract: run() executes its fiber program lanes on
+// persistent carrier threads and the phase pipeline on a persistent worker
+// pool, so a long-lived Runtime creates a fixed number of OS threads no
+// matter how many programs it runs — and neither the carrier count nor the
+// phase-worker count is visible in program results.
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "machine/presets.hpp"
-#include "support/fiber.hpp"
 
 namespace qsm {
 namespace {
+
+/// Restores the hardware-default host thread budget when a test that
+/// lowers or raises it ends, however it ends.
+struct BudgetReset {
+  ~BudgetReset() { rt::set_host_thread_budget(0); }
+};
 
 void exchange_program(rt::Runtime& runtime, rt::GlobalArray<std::int64_t> a,
                       std::uint64_t per) {
@@ -36,14 +42,13 @@ void exchange_program(rt::Runtime& runtime, rt::GlobalArray<std::int64_t> a,
 }
 
 TEST(Executor, RepeatedRunsCreateNoNewThreads) {
-  rt::Runtime runtime(machine::default_sim(8),
-                      rt::Options{.lanes = rt::LaneMode::Threads});
-  ASSERT_EQ(runtime.lane_mode(), rt::LaneMode::Threads);
+  rt::Runtime runtime(machine::default_sim(8));
   auto a = runtime.alloc<std::int64_t>(1024, rt::Layout::Cyclic);
 
   exchange_program(runtime, a, 1024 / 8);
   const std::uint64_t after_first = runtime.host_threads_created();
-  EXPECT_GE(after_first, 8u);  // at least the 8 program lanes
+  EXPECT_GE(after_first,  // at least the carriers
+            static_cast<std::uint64_t>(runtime.host_carriers()));
 
   for (int rep = 0; rep < 5; ++rep) {
     exchange_program(runtime, a, 1024 / 8);
@@ -53,15 +58,15 @@ TEST(Executor, RepeatedRunsCreateNoNewThreads) {
 }
 
 TEST(Executor, ForcedPhaseWorkersCreateNoNewThreadsAcrossRuns) {
-  rt::Runtime runtime(
-      machine::default_sim(8),
-      rt::Options{.host_workers = 4, .lanes = rt::LaneMode::Threads});
+  rt::Runtime runtime(machine::default_sim(8),
+                      rt::Options{.host_workers = 4});
   EXPECT_EQ(runtime.host_phase_workers(), 4);
   auto a = runtime.alloc<std::int64_t>(1 << 16, rt::Layout::Cyclic);
 
   exchange_program(runtime, a, (1u << 16) / 8);
   const std::uint64_t after_first = runtime.host_threads_created();
-  EXPECT_GE(after_first, 8u + 4u);  // lanes + phase workers
+  EXPECT_EQ(after_first,  // carriers + phase workers
+            static_cast<std::uint64_t>(runtime.host_carriers()) + 4u);
 
   for (int rep = 0; rep < 3; ++rep) {
     exchange_program(runtime, a, (1u << 16) / 8);
@@ -70,13 +75,10 @@ TEST(Executor, ForcedPhaseWorkersCreateNoNewThreadsAcrossRuns) {
 }
 
 TEST(Executor, FiberLanesBoundHostThreadsByCarriersNotP) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
-  // p = 64 simulated processors must not cost 64 OS threads: the fiber
+  // p = 64 simulated processors must not cost 64 OS threads: the lane
   // engine multiplexes them onto carriers sized from the host budget.
-  rt::Runtime runtime(
-      machine::default_sim(64),
-      rt::Options{.host_workers = 1, .lanes = rt::LaneMode::Fibers});
-  ASSERT_EQ(runtime.lane_mode(), rt::LaneMode::Fibers);
+  rt::Runtime runtime(machine::default_sim(64),
+                      rt::Options{.host_workers = 1});
   EXPECT_GE(runtime.host_carriers(), 1);
   EXPECT_LE(runtime.host_carriers(), 16);
   auto a = runtime.alloc<std::int64_t>(1024, rt::Layout::Cyclic);
@@ -94,36 +96,42 @@ TEST(Executor, FiberLanesBoundHostThreadsByCarriersNotP) {
   }
 }
 
-TEST(Executor, AutoLanePolicyPicksFibersBeyondBudgetThreadsWithin) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
-  ASSERT_EQ(rt::default_lane_mode(), rt::LaneMode::Auto);
-  const int budget = rt::host_thread_budget();
+TEST(Executor, CarriersSizedFromBudgetNotP) {
+  BudgetReset reset;
   {
-    rt::Runtime over(machine::default_sim(
-        static_cast<int>(std::bit_ceil(static_cast<unsigned>(budget) * 2))));
-    EXPECT_EQ(over.lane_mode(), rt::LaneMode::Fibers);
+    // One lane: one carrier, and it is the only OS thread a run creates
+    // (p = 1 leaves the phase pipeline serial).
+    rt::Runtime single(machine::default_sim(1));
+    EXPECT_EQ(single.host_carriers(), 1);
+    (void)single.run([](rt::Context& ctx) { ctx.sync(); });
+    EXPECT_EQ(single.host_threads_created(), 1u);
   }
-  if (budget >= 1) {
-    rt::Runtime within(machine::default_sim(1));
-    EXPECT_EQ(within.lane_mode(), rt::LaneMode::Threads);
+  // Twice the budget in lanes: carriers stop at the budget, then at 16.
+  for (const int budget : {rt::host_thread_budget(), 3, 32}) {
+    rt::set_host_thread_budget(budget);
+    rt::Runtime wide(machine::default_sim(2 * budget));
+    EXPECT_EQ(wide.host_carriers(), std::min(budget, 16))
+        << "budget " << budget;
   }
 }
 
-TEST(Executor, LaneModeDoesNotChangeResultsOrTiming) {
-  // The tentpole's oracle in miniature: thread lanes and fiber lanes must
-  // produce identical array contents and identical simulated timing.
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
+TEST(Executor, CarrierCountDoesNotChangeResultsOrTiming) {
+  // The lane engine's oracle in miniature: one carrier (lanes in rank
+  // order on one thread) and one carrier per lane must produce identical
+  // array contents and identical simulated timing.
+  BudgetReset reset;
   const std::uint64_t n = 1 << 14;
   std::vector<std::int64_t> contents[2];
   rt::RunResult timing[2];
-  const rt::LaneMode modes[2] = {rt::LaneMode::Threads, rt::LaneMode::Fibers};
+  const int budgets[2] = {1, 16};
+  const int carriers[2] = {1, 8};
   for (int w = 0; w < 2; ++w) {
+    rt::set_host_thread_budget(budgets[w]);
     rt::Runtime runtime(machine::default_sim(8),
                         rt::Options{.seed = 11,
                                     .check_rules = true,
-                                    .track_kappa = true,
-                                    .lanes = modes[w]});
-    ASSERT_EQ(runtime.lane_mode(), modes[w]);
+                                    .track_kappa = true});
+    ASSERT_EQ(runtime.host_carriers(), carriers[w]);
     auto a = runtime.alloc<std::int64_t>(n, rt::Layout::Cyclic);
     timing[w] = runtime.run([&](rt::Context& ctx) {
       const auto rank = static_cast<std::uint64_t>(ctx.rank());
@@ -143,15 +151,6 @@ TEST(Executor, LaneModeDoesNotChangeResultsOrTiming) {
   }
   EXPECT_EQ(contents[0], contents[1]);
   EXPECT_EQ(timing[0], timing[1]);  // full trace, phase by phase
-}
-
-TEST(Executor, LaneModeStringRoundTrip) {
-  EXPECT_EQ(rt::lane_mode_from_string("auto"), rt::LaneMode::Auto);
-  EXPECT_EQ(rt::lane_mode_from_string("threads"), rt::LaneMode::Threads);
-  EXPECT_EQ(rt::lane_mode_from_string("fibers"), rt::LaneMode::Fibers);
-  EXPECT_STREQ(rt::lane_mode_name(rt::LaneMode::Fibers), "fibers");
-  EXPECT_THROW((void)rt::lane_mode_from_string("green-threads"),
-               support::ContractViolation);
 }
 
 TEST(Executor, HostOnlyUseSpawnsNoThreads) {

@@ -4,7 +4,7 @@
 // The determinism test runs real Runtimes inside the compute closures on
 // purpose: under TSan this exercises the exact concurrent path the bench
 // binaries use (J scheduler workers, each owning a Runtime with its own
-// lanes and phase pool).
+// lane carriers and phase pool).
 #include <gtest/gtest.h>
 
 #include <atomic>

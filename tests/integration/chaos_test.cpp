@@ -5,13 +5,13 @@
 // correctness).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "machine/presets.hpp"
-#include "support/fiber.hpp"
 #include "support/rng.hpp"
 
 namespace qsm {
@@ -120,8 +120,18 @@ Reference run_reference(const ChaosPlan& plan) {
   return ref;
 }
 
-/// One full differential run; shared by the lane-mode variants below.
-void run_chaos(int p, int seed, rt::Layout layout, rt::LaneMode lanes) {
+/// What one differential run produced, for comparing carrier counts.
+struct ChaosRun {
+  rt::RunResult timing;
+  // observed[node][phase][op]
+  std::vector<std::vector<std::vector<std::int64_t>>> observed;
+  std::vector<std::vector<std::int64_t>> arrays;
+  int carriers{0};
+};
+
+/// One full differential run, checked against the reference model; shared
+/// by the sweeps below.
+ChaosRun run_chaos(int p, int seed, rt::Layout layout) {
   const int phases = 8;
   const auto plan = make_plan(p, phases, static_cast<std::uint64_t>(seed));
   const auto ref = run_reference(plan);
@@ -129,20 +139,19 @@ void run_chaos(int p, int seed, rt::Layout layout, rt::LaneMode lanes) {
   rt::Runtime runtime(machine::default_sim(p),
                       rt::Options{.seed = static_cast<std::uint64_t>(seed),
                                   .check_rules = true,
-                                  .track_kappa = true,
-                                  .lanes = lanes});
+                                  .track_kappa = true});
   std::vector<rt::GlobalArray<std::int64_t>> arrays;
   for (const std::uint64_t n : plan.array_sizes) {
     arrays.push_back(runtime.alloc<std::int64_t>(n, layout));
   }
 
-  // observed[node][phase][op]
-  std::vector<std::vector<std::vector<std::int64_t>>> observed(
-      static_cast<std::size_t>(p),
-      std::vector<std::vector<std::int64_t>>(
-          static_cast<std::size_t>(phases)));
+  ChaosRun run;
+  auto& observed = run.observed;
+  observed.assign(static_cast<std::size_t>(p),
+                  std::vector<std::vector<std::int64_t>>(
+                      static_cast<std::size_t>(phases)));
 
-  runtime.run([&](rt::Context& ctx) {
+  run.timing = runtime.run([&](rt::Context& ctx) {
     const auto me = static_cast<std::size_t>(ctx.rank());
     for (int ph = 0; ph < phases; ++ph) {
       const auto& my_gets =
@@ -177,16 +186,24 @@ void run_chaos(int p, int seed, rt::Layout layout, rt::LaneMode lanes) {
   }
   // Final memory state matches.
   for (std::size_t a = 0; a < arrays.size(); ++a) {
-    EXPECT_EQ(runtime.host_read(arrays[a]), ref.arrays[a]) << "array " << a;
+    run.arrays.push_back(runtime.host_read(arrays[a]));
+    EXPECT_EQ(run.arrays.back(), ref.arrays[a]) << "array " << a;
   }
+  run.carriers = runtime.host_carriers();
+  return run;
 }
+
+/// Restores the hardware-default host thread budget, however a test ends.
+struct BudgetReset {
+  ~BudgetReset() { rt::set_host_thread_budget(0); }
+};
 
 class ChaosSweep
     : public ::testing::TestWithParam<std::tuple<int, int, rt::Layout>> {};
 
 TEST_P(ChaosSweep, RuntimeMatchesReferenceModel) {
   const auto [p, seed, layout] = GetParam();
-  run_chaos(p, seed, layout, rt::LaneMode::Auto);
+  (void)run_chaos(p, seed, layout);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -197,16 +214,26 @@ INSTANTIATE_TEST_SUITE_P(
                                          rt::Layout::Hashed,
                                          rt::Layout::Cyclic)));
 
-// The same differential check with fiber lanes forced: memory semantics
-// (not just timing) must be independent of the lane engine. A subset of
-// the seed grid keeps the fiber pass cheap.
+// The same differential check on one carrier (host thread budget 1: the
+// fiber lanes run in rank order on one thread) and on min(p, 16) carriers
+// (budget 16): memory semantics, not just timing, must be independent of
+// how lanes map onto host threads. A subset of the seed grid keeps the
+// second pass cheap.
 class ChaosFiberSweep
     : public ::testing::TestWithParam<std::tuple<int, int, rt::Layout>> {};
 
 TEST_P(ChaosFiberSweep, RuntimeMatchesReferenceModelOnFiberLanes) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   const auto [p, seed, layout] = GetParam();
-  run_chaos(p, seed, layout, rt::LaneMode::Fibers);
+  BudgetReset reset;
+  rt::set_host_thread_budget(1);
+  const ChaosRun one = run_chaos(p, seed, layout);
+  ASSERT_EQ(one.carriers, 1);
+  rt::set_host_thread_budget(16);
+  const ChaosRun wide = run_chaos(p, seed, layout);
+  ASSERT_EQ(wide.carriers, std::min(p, 16));
+  EXPECT_EQ(one.timing, wide.timing);
+  EXPECT_EQ(one.observed, wide.observed);
+  EXPECT_EQ(one.arrays, wide.arrays);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,14 +2,16 @@
 //
 // Faulted runs must obey the same determinism contract as fault-free ones:
 // every fault draw is a pure function of (fault seed, phase, node/message
-// counters), so the lane engine and the host worker count may not change
+// counters), so the carrier count and the host worker count may not change
 // one simulated number, one retry, or one replay. This suite runs prefix
 // and list ranking under an aggressive mixed fault model across seeds and
-// machine sizes, in thread and fiber lanes and at 1 vs 8 host workers, and
-// demands bit-identical traces (per-phase FNV-1a digests locate any
-// divergence) and identical output data — replayed phases included.
+// machine sizes, on one carrier vs min(p, 16) carriers and at 1 vs 8 host
+// workers, and demands bit-identical traces (per-phase FNV-1a digests
+// locate any divergence) and identical output data — replayed phases
+// included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,7 +19,6 @@
 #include "algos/listrank.hpp"
 #include "algos/prefix.hpp"
 #include "machine/presets.hpp"
-#include "support/fiber.hpp"
 #include "support/rng.hpp"
 
 namespace qsm {
@@ -67,12 +68,13 @@ machine::MachineConfig faulty_machine(int p) {
   return m;
 }
 
-struct ModeRun {
+struct LaneRun {
   rt::RunResult timing;
   std::vector<std::int64_t> output;
+  int carriers{0};
 };
 
-void expect_parity(const ModeRun& a, const ModeRun& b,
+void expect_parity(const LaneRun& a, const LaneRun& b,
                    const std::string& what) {
   ASSERT_EQ(a.timing.phases, b.timing.phases) << what;
   for (std::size_t i = 0; i < a.timing.trace.size(); ++i) {
@@ -83,13 +85,16 @@ void expect_parity(const ModeRun& a, const ModeRun& b,
   EXPECT_EQ(a.output, b.output) << what;
 }
 
-rt::Options fault_options(std::uint64_t seed, rt::LaneMode lanes,
-                          int host_workers) {
+/// Restores the hardware-default host thread budget, however a sweep ends.
+struct BudgetReset {
+  ~BudgetReset() { rt::set_host_thread_budget(0); }
+};
+
+rt::Options fault_options(std::uint64_t seed, int host_workers) {
   return rt::Options{.seed = seed,
                      .check_rules = true,
                      .track_kappa = true,
-                     .host_workers = host_workers,
-                     .lanes = lanes};
+                     .host_workers = host_workers};
 }
 
 std::vector<std::int64_t> random_values(std::uint64_t n, std::uint64_t seed) {
@@ -99,40 +104,42 @@ std::vector<std::int64_t> random_values(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
-ModeRun run_prefix(int p, std::uint64_t seed, rt::LaneMode lanes,
-                   int host_workers) {
-  rt::Runtime runtime(faulty_machine(p),
-                      fault_options(seed, lanes, host_workers));
+LaneRun run_prefix(int p, std::uint64_t seed, int host_workers) {
+  rt::Runtime runtime(faulty_machine(p), fault_options(seed, host_workers));
   auto data = runtime.alloc<std::int64_t>(1 << 14);
   runtime.host_fill(data, random_values(1 << 14, seed ^ 3));
   auto timing = algos::parallel_prefix(runtime, data).timing;
-  return {std::move(timing), runtime.host_read(data)};
+  return {std::move(timing), runtime.host_read(data), runtime.host_carriers()};
 }
 
-ModeRun run_listrank(int p, std::uint64_t seed, rt::LaneMode lanes,
-                     int host_workers) {
+LaneRun run_listrank(int p, std::uint64_t seed, int host_workers) {
   const auto list = algos::make_random_list(1 << 12, seed ^ 5);
-  rt::Runtime runtime(faulty_machine(p),
-                      fault_options(seed, lanes, host_workers));
+  rt::Runtime runtime(faulty_machine(p), fault_options(seed, host_workers));
   auto ranks = runtime.alloc<std::int64_t>(1 << 12);
   auto timing = algos::list_rank(runtime, list, ranks).timing;
-  return {std::move(timing), runtime.host_read(ranks)};
+  return {std::move(timing), runtime.host_read(ranks), runtime.host_carriers()};
 }
 
+/// One carrier (host thread budget 1, lanes in rank order) against
+/// min(p, 16) carriers (budget 16).
 template <typename RunFn>
-void lane_parity_sweep(const char* algo, RunFn run) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
+void carrier_parity_sweep(const char* algo, RunFn run) {
+  BudgetReset reset;
   std::uint64_t fault_events = 0;
   for (const std::uint64_t seed : kSeeds) {
     for (const int p : kProcs) {
       const std::string what = std::string(algo) + " p=" + std::to_string(p) +
                                " seed=" + std::to_string(seed);
       SCOPED_TRACE(what);
-      const ModeRun threads = run(p, seed, rt::LaneMode::Threads, 0);
-      const ModeRun fibers = run(p, seed, rt::LaneMode::Fibers, 0);
-      expect_parity(threads, fibers, what);
-      fault_events += threads.timing.retries + threads.timing.drops +
-                      threads.timing.duplicates + threads.timing.replays;
+      rt::set_host_thread_budget(1);
+      const LaneRun one = run(p, seed, 0);
+      ASSERT_EQ(one.carriers, 1) << what;
+      rt::set_host_thread_budget(16);
+      const LaneRun wide = run(p, seed, 0);
+      ASSERT_EQ(wide.carriers, std::min(p, 16)) << what;
+      expect_parity(one, wide, what);
+      fault_events += one.timing.retries + one.timing.drops +
+                      one.timing.duplicates + one.timing.replays;
     }
   }
   // The sweep only proves something if faults actually fired.
@@ -146,19 +153,19 @@ void worker_parity_sweep(const char* algo, RunFn run) {
       const std::string what = std::string(algo) + " p=" + std::to_string(p) +
                                " seed=" + std::to_string(seed) + " workers";
       SCOPED_TRACE(what);
-      const ModeRun serial = run(p, seed, rt::LaneMode::Auto, 1);
-      const ModeRun wide = run(p, seed, rt::LaneMode::Auto, 8);
+      const LaneRun serial = run(p, seed, 1);
+      const LaneRun wide = run(p, seed, 8);
       expect_parity(serial, wide, what);
     }
   }
 }
 
-TEST(FaultParity, PrefixBitIdenticalAcrossLaneModes) {
-  lane_parity_sweep("prefix", run_prefix);
+TEST(FaultParity, PrefixBitIdenticalAcrossCarrierCounts) {
+  carrier_parity_sweep("prefix", run_prefix);
 }
 
-TEST(FaultParity, ListrankBitIdenticalAcrossLaneModes) {
-  lane_parity_sweep("listrank", run_listrank);
+TEST(FaultParity, ListrankBitIdenticalAcrossCarrierCounts) {
+  carrier_parity_sweep("listrank", run_listrank);
 }
 
 TEST(FaultParity, PrefixBitIdenticalAcrossHostWorkerCounts) {
@@ -170,8 +177,8 @@ TEST(FaultParity, ListrankBitIdenticalAcrossHostWorkerCounts) {
 }
 
 TEST(FaultParity, RepeatedRunsAreBitIdentical) {
-  const ModeRun a = run_listrank(16, 42, rt::LaneMode::Auto, 0);
-  const ModeRun b = run_listrank(16, 42, rt::LaneMode::Auto, 0);
+  const LaneRun a = run_listrank(16, 42, 0);
+  const LaneRun b = run_listrank(16, 42, 0);
   expect_parity(a, b, "repeat");
 }
 

@@ -16,7 +16,6 @@
 #include "algos/prefix.hpp"
 #include "algos/samplesort.hpp"
 #include "machine/presets.hpp"
-#include "support/fiber.hpp"
 #include "support/rng.hpp"
 
 namespace qsm {
@@ -94,38 +93,30 @@ std::vector<std::int64_t> random_values(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
-rt::Options golden_options(int host_workers,
-                           rt::LaneMode lanes = rt::LaneMode::Auto) {
+rt::Options golden_options(int host_workers) {
   return rt::Options{.seed = 42,
                      .check_rules = true,
                      .track_kappa = true,
-                     .host_workers = host_workers,
-                     .lanes = lanes};
+                     .host_workers = host_workers};
 }
 
-rt::RunResult run_prefix(int host_workers,
-                         rt::LaneMode lanes = rt::LaneMode::Auto) {
-  rt::Runtime runtime(machine::default_sim(8),
-                      golden_options(host_workers, lanes));
+rt::RunResult run_prefix(int host_workers) {
+  rt::Runtime runtime(machine::default_sim(8), golden_options(host_workers));
   auto data = runtime.alloc<std::int64_t>(10000);
   runtime.host_fill(data, random_values(10000, 3));
   return algos::parallel_prefix(runtime, data).timing;
 }
 
-rt::RunResult run_samplesort(int host_workers,
-                             rt::LaneMode lanes = rt::LaneMode::Auto) {
-  rt::Runtime runtime(machine::default_sim(8),
-                      golden_options(host_workers, lanes));
+rt::RunResult run_samplesort(int host_workers) {
+  rt::Runtime runtime(machine::default_sim(8), golden_options(host_workers));
   auto data = runtime.alloc<std::int64_t>(20000);
   runtime.host_fill(data, random_values(20000, 7));
   return algos::sample_sort(runtime, data).timing;
 }
 
-rt::RunResult run_listrank(int host_workers,
-                           rt::LaneMode lanes = rt::LaneMode::Auto) {
+rt::RunResult run_listrank(int host_workers) {
   const auto list = algos::make_random_list(10000, 5);
-  rt::Runtime runtime(machine::default_sim(8),
-                      golden_options(host_workers, lanes));
+  rt::Runtime runtime(machine::default_sim(8), golden_options(host_workers));
   auto ranks = runtime.alloc<std::int64_t>(10000);
   return algos::list_rank(runtime, list, ranks).timing;
 }
@@ -157,35 +148,28 @@ TEST(GoldenDeterminism, ListrankIdenticalUnderHostParallelism) {
   expect_golden(run_listrank(4), kListrankGolden);
 }
 
-// Both lane engines, pinned explicitly (LaneMode::Auto picks per host, so
-// these are the only variants guaranteed to exercise each engine on every
-// machine). The lane mode is a host-throughput knob exactly like the
-// worker count: bit-identical traces or nothing.
-TEST(GoldenDeterminism, PrefixIdenticalOnThreadLanes) {
-  expect_golden(run_prefix(1, rt::LaneMode::Threads), kPrefixGolden);
-}
-
-TEST(GoldenDeterminism, SamplesortIdenticalOnThreadLanes) {
-  expect_golden(run_samplesort(1, rt::LaneMode::Threads), kSamplesortGolden);
-}
-
-TEST(GoldenDeterminism, ListrankIdenticalOnThreadLanes) {
-  expect_golden(run_listrank(1, rt::LaneMode::Threads), kListrankGolden);
-}
+// The same fixtures on one carrier: the host thread budget is 1, so the
+// eight fiber lanes run in rank order on one thread instead of spreading
+// over the default carriers. The carrier count is a host-throughput knob
+// exactly like the worker count: bit-identical traces or nothing.
+struct OneCarrier {
+  OneCarrier() { rt::set_host_thread_budget(1); }
+  ~OneCarrier() { rt::set_host_thread_budget(0); }
+};
 
 TEST(GoldenDeterminism, PrefixIdenticalOnFiberLanes) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
-  expect_golden(run_prefix(1, rt::LaneMode::Fibers), kPrefixGolden);
+  OneCarrier one;
+  expect_golden(run_prefix(1), kPrefixGolden);
 }
 
 TEST(GoldenDeterminism, SamplesortIdenticalOnFiberLanes) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
-  expect_golden(run_samplesort(1, rt::LaneMode::Fibers), kSamplesortGolden);
+  OneCarrier one;
+  expect_golden(run_samplesort(1), kSamplesortGolden);
 }
 
 TEST(GoldenDeterminism, ListrankIdenticalOnFiberLanes) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
-  expect_golden(run_listrank(4, rt::LaneMode::Fibers), kListrankGolden);
+  OneCarrier one;
+  expect_golden(run_listrank(4), kListrankGolden);
 }
 
 // Re-running a program on one long-lived runtime (persistent executor,

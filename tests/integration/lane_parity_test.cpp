@@ -1,15 +1,17 @@
-// Lane-engine parity: the tentpole's equivalence oracle.
+// Carrier-count parity: the lane engine's equivalence oracle.
 //
-// Thread lanes and fiber lanes are two implementations of the same program
-// lane abstraction, and the runtime's determinism contract says the choice
-// may not change one simulated number. This suite runs the three paper
-// algorithms across seeds and machine sizes — including p = 64, far past
-// any host's per-run thread appetite — in both modes and demands
-// bit-identical results: full RunResult equality (every PhaseStats field of
-// every phase), matching per-phase FNV-1a hashes for a readable failure
-// digest, and identical output data.
+// Program lanes are fibers multiplexed onto carrier threads, and the
+// runtime's determinism contract says the carrier count may not change one
+// simulated number. This suite runs the three paper algorithms across seeds
+// and machine sizes — up to p = 64 — on one carrier (host thread budget 1:
+// every lane runs in rank order on one thread) and on min(p, 16) carriers
+// (budget 16: lanes interleave across threads), and demands bit-identical
+// results: full RunResult equality (every PhaseStats field of every phase),
+// matching per-phase FNV-1a hashes for a readable failure digest, and
+// identical output data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "algos/prefix.hpp"
 #include "algos/samplesort.hpp"
 #include "machine/presets.hpp"
-#include "support/fiber.hpp"
 #include "support/rng.hpp"
 
 namespace qsm {
@@ -60,30 +61,33 @@ std::uint64_t trace_hash(const rt::RunResult& r) {
   return h;
 }
 
-struct ModeRun {
+struct LaneRun {
   rt::RunResult timing;
   std::vector<std::int64_t> output;
+  int carriers{0};
 };
 
-void expect_parity(const ModeRun& threads, const ModeRun& fibers,
+void expect_parity(const LaneRun& one, const LaneRun& wide,
                    const std::string& what) {
-  ASSERT_EQ(threads.timing.phases, fibers.timing.phases) << what;
-  for (std::size_t i = 0; i < threads.timing.trace.size(); ++i) {
-    EXPECT_EQ(phase_hash(threads.timing.trace[i]),
-              phase_hash(fibers.timing.trace[i]))
+  ASSERT_EQ(one.timing.phases, wide.timing.phases) << what;
+  for (std::size_t i = 0; i < one.timing.trace.size(); ++i) {
+    EXPECT_EQ(phase_hash(one.timing.trace[i]),
+              phase_hash(wide.timing.trace[i]))
         << what << ": phase " << i << " diverged";
   }
-  EXPECT_EQ(trace_hash(threads.timing), trace_hash(fibers.timing)) << what;
+  EXPECT_EQ(trace_hash(one.timing), trace_hash(wide.timing)) << what;
   // The hashes locate a diff; full field-by-field equality is the claim.
-  EXPECT_EQ(threads.timing, fibers.timing) << what;
-  EXPECT_EQ(threads.output, fibers.output) << what;
+  EXPECT_EQ(one.timing, wide.timing) << what;
+  EXPECT_EQ(one.output, wide.output) << what;
 }
 
-rt::Options parity_options(std::uint64_t seed, rt::LaneMode lanes) {
-  return rt::Options{.seed = seed,
-                     .check_rules = true,
-                     .track_kappa = true,
-                     .lanes = lanes};
+/// Restores the hardware-default host thread budget, however a sweep ends.
+struct BudgetReset {
+  ~BudgetReset() { rt::set_host_thread_budget(0); }
+};
+
+rt::Options parity_options(std::uint64_t seed) {
+  return rt::Options{.seed = seed, .check_rules = true, .track_kappa = true};
 }
 
 std::vector<std::int64_t> random_values(std::uint64_t n, std::uint64_t seed) {
@@ -93,56 +97,60 @@ std::vector<std::int64_t> random_values(std::uint64_t n, std::uint64_t seed) {
   return v;
 }
 
-ModeRun run_prefix(int p, std::uint64_t seed, rt::LaneMode lanes) {
-  rt::Runtime runtime(machine::default_sim(p), parity_options(seed, lanes));
+LaneRun run_prefix(int p, std::uint64_t seed) {
+  rt::Runtime runtime(machine::default_sim(p), parity_options(seed));
   auto data = runtime.alloc<std::int64_t>(1 << 15);
   runtime.host_fill(data, random_values(1 << 15, seed ^ 3));
   auto timing = algos::parallel_prefix(runtime, data).timing;
-  return {std::move(timing), runtime.host_read(data)};
+  return {std::move(timing), runtime.host_read(data), runtime.host_carriers()};
 }
 
-ModeRun run_samplesort(int p, std::uint64_t seed, rt::LaneMode lanes) {
+LaneRun run_samplesort(int p, std::uint64_t seed) {
   // n must satisfy the algorithm's p^2 log n <= n requirement at p = 64.
   constexpr std::uint64_t n = 1 << 17;
-  rt::Runtime runtime(machine::default_sim(p), parity_options(seed, lanes));
+  rt::Runtime runtime(machine::default_sim(p), parity_options(seed));
   auto data = runtime.alloc<std::int64_t>(n);
   runtime.host_fill(data, random_values(n, seed ^ 7));
   auto timing = algos::sample_sort(runtime, data).timing;
-  return {std::move(timing), runtime.host_read(data)};
+  return {std::move(timing), runtime.host_read(data), runtime.host_carriers()};
 }
 
-ModeRun run_listrank(int p, std::uint64_t seed, rt::LaneMode lanes) {
+LaneRun run_listrank(int p, std::uint64_t seed) {
   const auto list = algos::make_random_list(1 << 13, seed ^ 5);
-  rt::Runtime runtime(machine::default_sim(p), parity_options(seed, lanes));
+  rt::Runtime runtime(machine::default_sim(p), parity_options(seed));
   auto ranks = runtime.alloc<std::int64_t>(1 << 13);
   auto timing = algos::list_rank(runtime, list, ranks).timing;
-  return {std::move(timing), runtime.host_read(ranks)};
+  return {std::move(timing), runtime.host_read(ranks), runtime.host_carriers()};
 }
 
 template <typename RunFn>
 void parity_sweep(const char* algo, RunFn run) {
-  if (!support::fibers_supported()) GTEST_SKIP() << "no fiber substrate";
+  BudgetReset reset;
   for (const std::uint64_t seed : kSeeds) {
     for (const int p : kProcs) {
       const std::string what = std::string(algo) + " p=" + std::to_string(p) +
                                " seed=" + std::to_string(seed);
       SCOPED_TRACE(what);
-      const ModeRun threads = run(p, seed, rt::LaneMode::Threads);
-      const ModeRun fibers = run(p, seed, rt::LaneMode::Fibers);
-      expect_parity(threads, fibers, what);
+      rt::set_host_thread_budget(1);
+      const LaneRun one = run(p, seed);
+      ASSERT_EQ(one.carriers, 1) << what;
+      rt::set_host_thread_budget(16);
+      const LaneRun wide = run(p, seed);
+      ASSERT_EQ(wide.carriers, std::min(p, 16)) << what;
+      expect_parity(one, wide, what);
     }
   }
 }
 
-TEST(LaneParity, PrefixBitIdenticalAcrossLaneModes) {
+TEST(LaneParity, PrefixBitIdenticalAcrossCarrierCounts) {
   parity_sweep("prefix", run_prefix);
 }
 
-TEST(LaneParity, SamplesortBitIdenticalAcrossLaneModes) {
+TEST(LaneParity, SamplesortBitIdenticalAcrossCarrierCounts) {
   parity_sweep("samplesort", run_samplesort);
 }
 
-TEST(LaneParity, ListrankBitIdenticalAcrossLaneModes) {
+TEST(LaneParity, ListrankBitIdenticalAcrossCarrierCounts) {
   parity_sweep("listrank", run_listrank);
 }
 

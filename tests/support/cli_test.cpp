@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+
+#include "support/contract.hpp"
 
 namespace qsm::support {
 namespace {
@@ -70,6 +73,24 @@ TEST(ArgParser, NonNumericValueThrows) {
                  std::runtime_error)
         << bad;
   }
+}
+
+TEST(ArgParser, IntAccessorRejectsValuesOutsideInt) {
+  auto p = make_parser();
+  const std::array argv{"prog", "--n", "4294967297"};
+  ASSERT_TRUE(p.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(p.i64("n"), 4294967297LL);
+  try {
+    (void)p.i32("n");
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--n value 4294967297"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::array fits{"prog", "--n=-2147483648"};
+  ASSERT_TRUE(p.parse(static_cast<int>(fits.size()), fits.data()));
+  EXPECT_EQ(p.i32("n"), -2147483647 - 1);
 }
 
 TEST(ArgParser, MissingValueThrows) {

@@ -14,7 +14,6 @@ namespace qsm::support {
 namespace {
 
 TEST(Fiber, RunsToCompletionAcrossResumes) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   std::vector<int> events;
   Fiber f([&] {
     events.push_back(1);
@@ -35,7 +34,6 @@ TEST(Fiber, RunsToCompletionAcrossResumes) {
 }
 
 TEST(Fiber, InFiberTracksContext) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   EXPECT_FALSE(Fiber::in_fiber());
   bool inside = false;
   Fiber f([&] { inside = Fiber::in_fiber(); });
@@ -45,7 +43,6 @@ TEST(Fiber, InFiberTracksContext) {
 }
 
 TEST(Fiber, InterleavesLikeCooperativeLanes) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   // The Executor's usage pattern in miniature: round-robin resume of many
   // fibers, each yielding at a "barrier" between steps.
   constexpr int kLanes = 16;
@@ -75,7 +72,6 @@ TEST(Fiber, InterleavesLikeCooperativeLanes) {
 }
 
 TEST(Fiber, DeepStackUseSurvivesSwitches) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   // Grow a real stack footprint between yields; ASan/TSan builds exercise
   // the fake-stack bookkeeping here.
   std::uint64_t sum = 0;
@@ -98,7 +94,6 @@ TEST(Fiber, DeepStackUseSurvivesSwitches) {
 }
 
 TEST(Fiber, MisuseFaultsLoudly) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber substrate";
   EXPECT_THROW(Fiber::yield(), ContractViolation);  // outside any fiber
   Fiber f([] {});
   f.resume();

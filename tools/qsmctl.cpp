@@ -41,7 +41,7 @@ machine::MachineConfig machine_from(const support::ArgParser& args) {
   auto m = args.str("machine-file").empty()
                ? machine::preset_by_name(args.str("machine"))
                : machine::machine_from_file(args.str("machine-file"));
-  if (args.i64("p") > 0) m.p = static_cast<int>(args.i64("p"));
+  if (const int p = args.i32("p"); p > 0) m.p = p;
   return m;
 }
 

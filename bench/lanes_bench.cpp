@@ -2,11 +2,14 @@
 //
 // Every program lane is a stackful fiber on a carrier thread (DESIGN.md
 // §4), so a phase with no work still pays p user-space park/resume
-// switches, the cross-carrier wakeups and the barrier. This bench runs a
-// barrier-dominated synthetic program (one word exchanged per node per
-// phase — all overhead, no work) at p in {16, 64, 256}, reports
-// phases/sec, OS threads created and carriers, and emits BENCH_lanes.json
-// next to the other machine-readable bench outputs.
+// switches, one barrier arrival per carrier, the cross-carrier wakeups and
+// the phase completion. This bench runs a barrier-dominated synthetic
+// program (one word exchanged per node per phase — all overhead, no work)
+// at p in {16, 64, 256, 1024}, reports phases/sec, OS threads created and
+// carriers, and emits BENCH_lanes.json next to the other machine-readable
+// bench outputs. The defaults (500 phases, best of 5 reps) make each width
+// run long enough to be stable on a shared host; the CI lane gate runs
+// them too, so its reading is comparable with the committed file.
 //
 // Each width's trace is also checked against a run on one carrier (lanes
 // in rank order); the carrier count may not change a simulated number.
@@ -74,8 +77,9 @@ int run(int argc, const char* const* argv) {
                           "fiber program lanes: phases/sec on a "
                           "barrier-dominated workload");
   bench::register_common_flags(args);
-  args.flag_str("procs", "16,64,256", "comma-separated processor counts");
-  args.flag_i64("phases", 100, "sync phases per run");
+  args.flag_i64("reps", 5, "timed runs per width; the best one counts");
+  args.flag_str("procs", "16,64,256,1024", "comma-separated processor counts");
+  args.flag_i64("phases", 500, "sync phases per run");
   args.flag_str("out", "BENCH_lanes.json", "machine-readable output file");
   if (!args.parse(argc, argv)) return 0;
   const auto cfg = bench::read_common_flags(args);

@@ -82,12 +82,14 @@ BfsOutcome parallel_bfs(rt::Runtime& runtime, const Graph& g,
   const std::uint64_t n = g.n;
   const std::uint64_t m = g.edges();
 
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
   // Shared structure: per-vertex edge start and degree (owned with the
   // vertex), targets distributed by edge index.
-  auto start = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "bfs-start");
-  auto degree = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "bfs-deg");
-  auto targets = m > 0 ? runtime.alloc<std::uint64_t>(m, rt::Layout::Block,
-                                                      "bfs-adj")
+  auto start = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "bfs-start");
+  auto degree = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "bfs-deg");
+  auto targets = m > 0 ? arrays.alloc<std::uint64_t>(m, rt::Layout::Block,
+                                                     "bfs-adj")
                        : rt::GlobalArray<std::uint64_t>{};
   {
     std::vector<std::uint64_t> st(n);

@@ -40,12 +40,14 @@ ComponentsOutcome connected_components(rt::Runtime& runtime, const Graph& g,
   const std::uint64_t n = g.n;
   const std::uint64_t m = g.edges();
 
-  auto start = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "cc-start");
-  auto degree = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "cc-deg");
-  auto targets = m > 0 ? runtime.alloc<std::uint64_t>(m, rt::Layout::Block,
-                                                      "cc-adj")
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
+  auto start = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "cc-start");
+  auto degree = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "cc-deg");
+  auto targets = m > 0 ? arrays.alloc<std::uint64_t>(m, rt::Layout::Block,
+                                                     "cc-adj")
                        : rt::GlobalArray<std::uint64_t>{};
-  auto dirty = runtime.alloc<std::int64_t>(n, rt::Layout::Block, "cc-dirty");
+  auto dirty = arrays.alloc<std::int64_t>(n, rt::Layout::Block, "cc-dirty");
   {
     std::vector<std::uint64_t> st(n);
     std::vector<std::uint64_t> deg(n);

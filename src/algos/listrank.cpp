@@ -76,24 +76,26 @@ ListRankOutcome list_rank(rt::Runtime& runtime, const ListProblem& list,
              : static_cast<int>(static_cast<std::uint64_t>(iteration_c) *
                                 std::max<std::uint64_t>(1, ceil_log2(up)));
 
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
   // Shared state. All block layout over the index space; an element's
   // bookkeeping lives with its owner.
-  auto S = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-succ");
-  auto P = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-pred");
-  auto W = runtime.alloc<std::int64_t>(n, rt::Layout::Block, "lr-weight");
-  auto F = runtime.alloc<std::uint8_t>(n, rt::Layout::Block, "lr-flip");
-  auto wadd_val = runtime.alloc<std::int64_t>(n, rt::Layout::Block,
-                                              "lr-wadd-val");
-  auto wadd_iter = runtime.alloc<std::int64_t>(n, rt::Layout::Block,
-                                               "lr-wadd-iter");
+  auto S = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-succ");
+  auto P = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-pred");
+  auto W = arrays.alloc<std::int64_t>(n, rt::Layout::Block, "lr-weight");
+  auto F = arrays.alloc<std::uint8_t>(n, rt::Layout::Block, "lr-flip");
+  auto wadd_val = arrays.alloc<std::int64_t>(n, rt::Layout::Block,
+                                             "lr-wadd-val");
+  auto wadd_iter = arrays.alloc<std::int64_t>(n, rt::Layout::Block,
+                                              "lr-wadd-iter");
   // Gather area for the sequential phase (z = O(n/p) elements, so the
   // region [0, z) is owned by node 0 in the common case).
-  auto g_idx = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-gidx");
-  auto g_succ = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-gsucc");
-  auto g_w = runtime.alloc<std::int64_t>(n, rt::Layout::Block, "lr-gw");
+  auto g_idx = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-gidx");
+  auto g_succ = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "lr-gsucc");
+  auto g_w = arrays.alloc<std::int64_t>(n, rt::Layout::Block, "lr-gw");
   // counts_b[j*p + i] = active count of node i, broadcast to node j.
-  auto counts_b = runtime.alloc<std::int64_t>(up * up, rt::Layout::Block,
-                                              "lr-counts");
+  auto counts_b = arrays.alloc<std::int64_t>(up * up, rt::Layout::Block,
+                                             "lr-counts");
 
   runtime.host_fill(S, list.succ);
   runtime.host_fill(P, list.pred);

@@ -34,9 +34,11 @@ PrefixOutcome parallel_prefix(rt::Runtime& runtime,
                   n || p == 1,
               "parallel prefix wants p <= sqrt(n)");
 
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
   // Sums[i*p + j] = block total of node j, in node i's row (block layout
   // puts row i on node i, so the broadcast is p-1 remote puts per node).
-  auto sums = runtime.alloc<std::int64_t>(
+  auto sums = arrays.alloc<std::int64_t>(
       static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(p),
       rt::Layout::Block, "prefix-sums");
 

@@ -17,13 +17,15 @@ RadixSortOutcome radix_sort(rt::Runtime& runtime,
   const std::uint64_t n = data.n;
   const std::uint64_t radix = 1ULL << digit_bits;
 
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
   // Ping-pong buffer and the replicated count matrix: region j holds the
   // full p x radix digit histogram for node j's consumption.
-  auto scratch = runtime.alloc<std::int64_t>(n, rt::Layout::Block,
-                                             "radix-scratch");
-  auto counts = runtime.alloc<std::int64_t>(up * up * radix,
-                                            rt::Layout::Block,
-                                            "radix-counts");
+  auto scratch = arrays.alloc<std::int64_t>(n, rt::Layout::Block,
+                                            "radix-scratch");
+  auto counts = arrays.alloc<std::int64_t>(up * up * radix,
+                                           rt::Layout::Block,
+                                           "radix-counts");
   rt::Collectives coll(runtime, "radix-coll");
 
   RadixSortOutcome out;

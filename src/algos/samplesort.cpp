@@ -45,16 +45,18 @@ SampleSortOutcome sample_sort(rt::Runtime& runtime,
               "sample sort wants p <= ~sqrt(n / log n)");
   QSM_REQUIRE(n >= up * up, "need at least p elements per node");
 
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
   // Shared scratch. Region sizes divide evenly so block ownership is exact.
-  auto samples_all = runtime.alloc<std::int64_t>(up * up * s,
-                                                 rt::Layout::Block,
-                                                 "sort-samples");
-  auto counts = runtime.alloc<std::int64_t>(up * up, rt::Layout::Block,
-                                            "sort-counts");
-  auto ptrs = runtime.alloc<std::int64_t>(up * up, rt::Layout::Block,
-                                          "sort-ptrs");
-  auto totals = runtime.alloc<std::int64_t>(up * up, rt::Layout::Block,
-                                            "sort-totals");
+  auto samples_all = arrays.alloc<std::int64_t>(up * up * s,
+                                                rt::Layout::Block,
+                                                "sort-samples");
+  auto counts = arrays.alloc<std::int64_t>(up * up, rt::Layout::Block,
+                                           "sort-counts");
+  auto ptrs = arrays.alloc<std::int64_t>(up * up, rt::Layout::Block,
+                                         "sort-ptrs");
+  auto totals = arrays.alloc<std::int64_t>(up * up, rt::Layout::Block,
+                                           "sort-totals");
 
   SampleSortOutcome out;
   out.oversample_c = oversample_c;

@@ -20,7 +20,9 @@ WyllieOutcome wyllie_list_rank(rt::Runtime& runtime, const ListProblem& list,
   const std::uint64_t n = list.size();
   QSM_REQUIRE(ranks.n == n, "ranks array must match the list size");
 
-  auto succ = runtime.alloc<std::uint64_t>(n, rt::Layout::Block, "wy-succ");
+  // Per-call scratch, freed on return and on throw.
+  rt::ScopedArrays arrays(runtime);
+  auto succ = arrays.alloc<std::uint64_t>(n, rt::Layout::Block, "wy-succ");
   runtime.host_fill(succ, list.succ);
   {
     // rank = 1 for every element with a successor, 0 for the tail.

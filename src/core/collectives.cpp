@@ -7,7 +7,7 @@
 namespace qsm::rt {
 
 Collectives::Collectives(Runtime& runtime, std::string name)
-    : p_(runtime.nprocs()) {
+    : scratch_(runtime), p_(runtime.nprocs()) {
   const auto up = static_cast<std::uint64_t>(p_);
   // Transposed, cyclically laid out slot matrix: slot[i*p + j] carries node
   // i's value *for* node j, and the cyclic owner of i*p + j is j. A node's
@@ -21,8 +21,8 @@ Collectives::Collectives(Runtime& runtime, std::string name)
   // O(1) per node, which is what lets the sparse traffic pipeline (and
   // Comm::alltoallv_sparse behind it) price these phases from strided runs
   // instead of dense per-node rows.
-  slots_ = runtime.alloc<std::int64_t>(up * up, Layout::Cyclic,
-                                       std::move(name));
+  slots_ = scratch_.alloc<std::int64_t>(up * up, Layout::Cyclic,
+                                        std::move(name));
 }
 
 std::vector<std::int64_t> Collectives::exchange(Context& ctx,

@@ -12,8 +12,8 @@
 // to the classic formulation (pinned by the sparse/dense parity test).
 //
 // All calls are collective: every node must make the same call in the same
-// phase. A Collectives object owns its scratch array and may be reused for
-// any number of consecutive operations.
+// phase. A Collectives object owns its scratch array, frees it when it is
+// destroyed, and may be reused for any number of consecutive operations.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,8 @@ namespace qsm::rt {
 class Collectives {
  public:
   /// Allocates the p*p scratch matrix on `runtime`. Construct before
-  /// Runtime::run (allocation is host-side).
+  /// Runtime::run and destroy after it (allocation and free are
+  /// host-side); the runtime must outlive the object.
   explicit Collectives(Runtime& runtime, std::string name = "collectives");
 
   /// Every node receives root's value. One phase.
@@ -53,6 +54,7 @@ class Collectives {
   /// return this node's row.
   std::vector<std::int64_t> exchange(Context& ctx, std::int64_t value);
 
+  ScopedArrays scratch_;
   GlobalArray<std::int64_t> slots_;
   int p_;
 };

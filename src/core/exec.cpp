@@ -30,14 +30,23 @@ int default_phase_workers(int nprocs) {
 }
 
 /// Per-lane parking slot. Lives in the carrier's lane table; exposed to
-/// the lane itself (lane_wait runs on the fiber, which shares the carrier's
+/// the lane itself (lane_park runs on the fiber, which shares the carrier's
 /// OS thread) through tl_park.
 struct LanePark {
   bool parked{false};
   std::uint64_t park_gen{0};
 };
 
+/// A carrier's tally of its own lanes: the phase barrier's first level.
+/// Lives in run_carrier; exposed to the carrier's lanes through tl_tally.
+/// Only the carrier's thread runs those lanes, so it needs no lock.
+struct CarrierTally {
+  std::size_t live{0};     ///< lanes whose fiber has not finished
+  std::size_t arrived{0};  ///< lanes at sync() before the carrier arrived
+};
+
 thread_local LanePark* tl_park = nullptr;
+thread_local CarrierTally* tl_tally = nullptr;
 
 }  // namespace
 
@@ -54,13 +63,13 @@ void set_host_thread_budget(int threads) {
 /// Fiber parking/wakeup state shared by one executor's carriers and lanes.
 ///
 /// The protocol is the user-space mirror of a condition variable: a lane
-/// that must wait snapshots the notify generation *while still holding the
-/// caller's mutex* (so no pred-changing transition can slip between the
-/// check and the snapshot), parks, and its carrier skips it until the
-/// generation moves past the snapshot. lane_notify_all() bumps the
-/// generation and wakes any carrier that ran out of runnable lanes and fell
-/// asleep in the kernel — the only kernel involvement in steady state is
-/// that cross-carrier edge; a single carrier switches phases entirely in
+/// that must wait snapshots the notify generation *before* it checks its
+/// ready() condition (so a change that lands after the check has bumped
+/// the generation past the snapshot), parks, and its carrier skips it
+/// until the generation moves past the snapshot. lane_notify_all() bumps
+/// the generation and wakes any carrier that ran out of runnable lanes and
+/// fell asleep in the kernel — the only kernel involvement in steady state
+/// is that cross-carrier edge; a single carrier switches phases entirely in
 /// user space.
 struct Executor::LaneSched {
   std::mutex m;
@@ -124,8 +133,9 @@ void Executor::run_carrier(int carrier, const std::function<void(int)>& fn) {
         [&fn, rank] { fn(rank); });
   }
 
-  std::size_t live = lanes.size();
-  while (live > 0) {
+  CarrierTally tally{.live = lanes.size()};
+  tl_tally = &tally;
+  while (tally.live > 0) {
     // Snapshot before scanning: a notify that lands mid-scan makes the
     // fall-asleep check below return immediately instead of being lost.
     const std::uint64_t stale = sched_->gen.load(std::memory_order_acquire);
@@ -141,30 +151,43 @@ void Executor::run_carrier(int carrier, const std::function<void(int)>& fn) {
       lane.fiber->resume();
       tl_park = nullptr;
       progressed = true;
-      if (lane.fiber->finished()) --live;
+      if (lane.fiber->finished()) --tally.live;
     }
-    if (live > 0 && !progressed) {
+    if (tally.live > 0 && !progressed) {
       // Every live lane is parked on the current generation: this carrier
       // has nothing to run until another carrier's lane notifies.
       sched_->wait_past(stale);
     }
   }
+  tl_tally = nullptr;
 }
 
-void Executor::lane_wait(std::unique_lock<std::mutex>& lk,
-                         const std::function<bool()>& pred) {
+bool Executor::lane_arrive() {
+  CarrierTally* tally = tl_tally;
+  QSM_REQUIRE(tally != nullptr, "sync() outside a program lane");
+  if (++tally->arrived < tally->live) return false;
+  tally->arrived = 0;
+  return true;
+}
+
+std::size_t Executor::carrier_lanes_arrived() const {
+  QSM_REQUIRE(tl_tally != nullptr, "barrier tally read outside a program lane");
+  return tl_tally->arrived;
+}
+
+void Executor::lane_park(const std::function<bool()>& ready) {
   LanePark* park = tl_park;
-  QSM_REQUIRE(park != nullptr, "lane_wait() outside a program lane");
-  while (!pred()) {
-    // Order matters: snapshot the generation while the caller's mutex is
-    // still held. Any transition that makes pred() true also bumps the
-    // generation under that same mutex, so it must come after this read
-    // and the carrier will see gen != park_gen.
+  QSM_REQUIRE(park != nullptr, "lane_park() outside a program lane");
+  while (true) {
+    // Order matters: snapshot the generation before checking ready().
+    // Whatever makes ready() true is followed by a generation bump, so
+    // either this read sees the bump (and ready() sees the change) or the
+    // bump comes later and the carrier sees gen != park_gen.
+    const std::uint64_t gen = sched_->gen.load(std::memory_order_acquire);
+    if (ready()) return;
     park->parked = true;
-    park->park_gen = sched_->gen.load(std::memory_order_acquire);
-    lk.unlock();
+    park->park_gen = gen;
     support::Fiber::yield();
-    lk.lock();
   }
 }
 

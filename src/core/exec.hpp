@@ -9,6 +9,12 @@
 // full speed, and it bounds host_threads_created() by the carrier count
 // instead of p.
 //
+// The executor also holds the first level of the phase barrier: each
+// carrier tallies its own lanes (live, and arrived this phase). Only the
+// carrier's thread runs those lanes, so the tally needs no lock, and only
+// the carrier's last lane to arrive goes on to the shared barrier
+// (Runtime::Barrier). Every lane blocks through one primitive, lane_park().
+//
 // The carrier count is a host-throughput knob like the phase-worker count:
 // the determinism guarantee (DESIGN.md §4) means no carrier count may
 // change a single simulated number — the GoldenDeterminism and lane-parity
@@ -24,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "support/worker_pool.hpp"
 
@@ -63,18 +68,29 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   /// Runs fn(rank) for every rank on the program lanes; blocks until all
-  /// lanes finish. Lanes may block on each other through lane_wait() (the
-  /// phase barrier), which parks them cooperatively on their carrier.
+  /// lanes finish. Lanes block on each other at the phase barrier through
+  /// lane_arrive() and lane_park(), which park them on their carrier.
   void run_program(const std::function<void(int)>& fn);
 
-  /// Blocks the calling program lane until pred() holds; must be called
-  /// from a lane with `lk` locked, and pred changes must be announced with
-  /// lane_notify_all() (condition-variable discipline). The lane parks in
-  /// user space and its carrier runs sibling lanes instead.
-  void lane_wait(std::unique_lock<std::mutex>& lk,
-                 const std::function<bool()>& pred);
+  /// Counts the calling lane as arrived at the current phase in its
+  /// carrier's tally. Returns true when it is the carrier's last live lane
+  /// to arrive: the caller then arrives once for the whole carrier at the
+  /// shared barrier, and the tally restarts at zero for the next phase.
+  [[nodiscard]] bool lane_arrive();
 
-  /// Wakes every lane parked in lane_wait() to re-evaluate its predicate.
+  /// Lanes of the calling lane's carrier that have arrived at the current
+  /// phase while the carrier itself has not.
+  [[nodiscard]] std::size_t carrier_lanes_arrived() const;
+
+  /// Parks the calling lane until ready() holds: the one way a lane
+  /// blocks. Whatever can make ready() true must be followed by
+  /// lane_notify_all(). The lane snapshots the scheduler generation before
+  /// each evaluation of ready(), so a change that lands between the check
+  /// and the park still wakes it. The lane parks in user space and its
+  /// carrier runs sibling lanes instead.
+  void lane_park(const std::function<bool()>& ready);
+
+  /// Wakes every parked lane to evaluate its ready() again.
   void lane_notify_all();
 
   /// Runs fn(t) for t in [0, tasks). Executes inline on the calling thread

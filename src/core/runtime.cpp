@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <mutex>
 #include <utility>
@@ -12,92 +13,121 @@ static_assert(std::endian::native == std::endian::little,
 
 // ---- phase barrier --------------------------------------------------------
 
-/// Cyclic barrier whose last arriver runs the phase-processing completion
-/// function. Exceptions thrown by the completion (e.g. bulk-synchrony rule
-/// violations) are captured and rethrown on *every* participating lane so
-/// program lanes unwind instead of deadlocking; a lane that dies outside
-/// the barrier calls abort_with() to wake the others.
+/// Two-level cyclic barrier whose last arriver runs the phase-processing
+/// completion function.
 ///
-/// Waiting goes through Executor::lane_wait/lane_notify_all rather than a
-/// condition variable of its own: the blocked lane parks in user space and
-/// its carrier keeps running sibling lanes. Every pred-changing transition
-/// below notifies under `m`, which is what the fiber parking protocol
-/// needs to never lose a wakeup.
+/// Level one is each carrier's tally of its own lanes
+/// (Executor::lane_arrive): a lane that is not its carrier's last live lane
+/// to arrive parks at once and touches no shared state. Level two is this
+/// struct: the carrier's last lane takes `m` once and records one carrier
+/// arrival, and the last carrier runs the completion, bumps `generation`
+/// and wakes every carrier. In a fault-free run `m` is taken once per
+/// carrier per phase, plus once per lane at retire.
+///
+/// Every lane blocks in Executor::lane_park until `generation` moves or
+/// `failed` is set; both change only before a lane_notify_all(), which is
+/// what the park needs to never lose a wakeup.
+///
+/// Exceptions thrown by the completion (e.g. bulk-synchrony rule
+/// violations) or by a lane are captured and rethrown on *every* lane, so
+/// program lanes unwind instead of deadlocking. A program whose lanes make
+/// different numbers of sync() calls has a lane retire (finish its
+/// program) while another is at, or will reach, a sync it never reaches.
+/// Whichever of the two comes second detects it: a carrier arrival fails
+/// if any lane has retired this run, and a retire fails if lanes of its own
+/// carrier have arrived or any carrier has.
 struct Runtime::Barrier {
   explicit Barrier(Executor& e) : exec(e) {}
 
   Executor& exec;
   std::mutex m;
-  int initial{0};       ///< participants at reset()
-  int participants{0};  ///< still-running program lanes
-  int waiting{0};
-  std::uint64_t generation{0};
+  int carriers_arrived{0};   ///< under m
+  bool retired{false};       ///< under m: a lane finished its program
+  std::exception_ptr error;  ///< under m; set before `failed`
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<bool> failed{false};
   std::function<void()> completion;
-  std::exception_ptr error;
 
-  void reset(int n, std::function<void()> fn) {
+  /// Clears every per-run field however the last run ended: run() returns
+  /// only after every lane has finished, so no lane is parked here.
+  void reset(std::function<void()> fn) {
     std::lock_guard lk(m);
-    QSM_REQUIRE(waiting == 0, "cannot reset a barrier with waiters");
-    initial = n;
-    participants = n;
-    waiting = 0;
-    generation = 0;
-    completion = std::move(fn);
+    carriers_arrived = 0;
+    retired = false;
     error = nullptr;
+    failed.store(false, std::memory_order_relaxed);
+    completion = std::move(fn);
   }
 
-  [[nodiscard]] std::exception_ptr mismatch_error() const {
+  [[nodiscard]] static std::exception_ptr mismatch_error() {
     return std::make_exception_ptr(support::ContractViolation(
         "program threads executed different numbers of sync() calls",
         std::source_location::current()));
   }
 
+  /// Keeps the run's first error and wakes every lane with it. Caller
+  /// holds m.
+  void fail(std::exception_ptr e) {
+    if (!error) error = std::move(e);
+    failed.store(true, std::memory_order_release);
+    exec.lane_notify_all();
+  }
+
+  [[noreturn]] void rethrow() {
+    std::exception_ptr e;
+    {
+      std::lock_guard lk(m);
+      e = error;
+    }
+    std::rethrow_exception(e);
+  }
+
   void arrive_and_wait() {
-    std::unique_lock lk(m);
-    if (error) std::rethrow_exception(error);
-    if (participants != initial) {
-      // Some lane already finished its program but this one wants
-      // another phase: the program is not bulk-synchronous.
-      error = mismatch_error();
-      exec.lane_notify_all();
-      std::rethrow_exception(error);
+    const std::uint64_t gen = generation.load(std::memory_order_acquire);
+    if (exec.lane_arrive()) arrive_carrier();
+    exec.lane_park([this, gen] {
+      return generation.load(std::memory_order_acquire) != gen ||
+             failed.load(std::memory_order_acquire);
+    });
+    if (failed.load(std::memory_order_acquire)) rethrow();
+  }
+
+  /// The calling lane is its carrier's last live lane to arrive: counts
+  /// the carrier in, and completes the phase if it is the last carrier.
+  void arrive_carrier() {
+    std::lock_guard lk(m);
+    if (error) return;  // no completion after a failure; the park sees it
+    if (retired) {
+      // Some lane already finished its program but this carrier's lanes
+      // want another phase: the program is not bulk-synchronous.
+      fail(mismatch_error());
+      return;
     }
-    const std::uint64_t gen = generation;
-    ++waiting;
-    if (waiting == participants) {
-      try {
-        completion();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      waiting = 0;
-      ++generation;
-      exec.lane_notify_all();
-      if (error) std::rethrow_exception(error);
-    } else {
-      exec.lane_wait(lk,
-                     [&] { return generation != gen || error != nullptr; });
-      if (error) std::rethrow_exception(error);
+    if (++carriers_arrived < exec.carriers()) return;
+    carriers_arrived = 0;
+    try {
+      completion();
+    } catch (...) {
+      fail(std::current_exception());
+      return;
     }
+    generation.fetch_add(1, std::memory_order_release);
+    exec.lane_notify_all();
   }
 
   /// A lane finished its program normally and leaves the barrier.
   void retire() {
+    const bool left_behind = exec.carrier_lanes_arrived() > 0;
     std::lock_guard lk(m);
-    --participants;
-    if (waiting > 0 && !error) {
-      // Other lanes are blocked at a sync this lane never reached.
-      error = mismatch_error();
-      exec.lane_notify_all();
-    }
+    retired = true;
+    // Other lanes are blocked at a sync this lane never reached.
+    if (left_behind || carriers_arrived > 0) fail(mismatch_error());
   }
 
   /// A lane died with an exception; wake everyone with it.
   void abort_with(std::exception_ptr e) {
     std::lock_guard lk(m);
-    if (!error) error = std::move(e);
-    --participants;
-    exec.lane_notify_all();
+    fail(std::move(e));
   }
 
   std::exception_ptr take_error() {
@@ -186,7 +216,7 @@ RunResult Runtime::run(const std::function<void(Context&)>& program) {
   watchdog_.poll("run()");
   reset_clocks();
   result_ = RunResult{};
-  barrier_->reset(nprocs(), [this] {
+  barrier_->reset([this] {
     // The completion runs on whichever lane arrives last, serialized by
     // the barrier — a budget breach here unwinds every program lane.
     watchdog_.poll("phase");

@@ -209,6 +209,7 @@ class Runtime {
 
  private:
   friend class Context;
+  friend class ScopedArrays;
 
   void reset_clocks();
   void check_queues_empty() const;
@@ -243,6 +244,38 @@ class Runtime {
 
   struct Barrier;  // internal phase barrier with completion + error plumbing
   std::unique_ptr<Barrier> barrier_;
+};
+
+/// Shared arrays that live for one scope: every array allocated through a
+/// ScopedArrays is freed when it goes out of scope, on return and on throw.
+/// Algorithms keep their per-call scratch in one, so a Runtime reused
+/// across calls does not grow per call. Arrays are freed in reverse
+/// allocation order, so each call recycles the same slot ids. Must not be
+/// destroyed while a program is running (run() returns or throws only
+/// after every lane has finished).
+class ScopedArrays {
+ public:
+  explicit ScopedArrays(Runtime& runtime) : runtime_(runtime) {}
+  ~ScopedArrays() {
+    for (auto it = owned_.rbegin(); it != owned_.rend(); ++it) {
+      runtime_.store_.release(it->id, it->generation);
+    }
+  }
+
+  ScopedArrays(const ScopedArrays&) = delete;
+  ScopedArrays& operator=(const ScopedArrays&) = delete;
+
+  template <Word T>
+  GlobalArray<T> alloc(std::uint64_t n, Layout layout = Layout::Block,
+                       std::string name = "") {
+    const GlobalArray<T> a = runtime_.alloc<T>(n, layout, std::move(name));
+    owned_.push_back(SharedStore::Handle{a.id, a.gen});
+    return a;
+  }
+
+ private:
+  Runtime& runtime_;
+  std::vector<SharedStore::Handle> owned_;
 };
 
 // ---- Context templates --------------------------------------------------

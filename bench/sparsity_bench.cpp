@@ -63,12 +63,10 @@ std::uint64_t sort_n_for(int p) {
 }
 
 /// Times `reps` runs of `run_once` on one long-lived runtime at p (one
-/// warmup run first: lanes spawn and the phases' exchange patterns land in
-/// the comm memos, so timed reps measure the pipeline, not first-touch
-/// pricing). A pattern over the xfer memo's per-entry cap is never stored
-/// and is priced again in every rep: listrank's all-pairs count broadcast
-/// at p = 4096 (~33.6M words against the 16M-word cap). Every pattern at
-/// p <= 1024 fits.
+/// warmup run first: lanes spawn and the phases' plan exchanges land in
+/// the plan memo, so timed reps measure the pipeline, not first-touch
+/// pricing). Timed reps price every data round again; only plan exchanges
+/// whose relative arrival pattern repeats are replayed from the memo.
 template <typename RunOnce>
 void time_row(Row& row, const machine::MachineConfig& base,
               std::uint64_t seed, RunOnce run_once, int reps) {

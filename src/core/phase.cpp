@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/exec.hpp"
-#include "net/barrier.hpp"
 #include "net/fault.hpp"
 
 namespace qsm::rt {
@@ -55,7 +54,8 @@ PhasePipeline::PhasePipeline(SharedStore& store, const msg::Comm& comm,
   t_done_.resize(up);
 }
 
-PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
+PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes,
+                                    std::uint64_t phase_idx) {
   PhaseStats ps;
 
   cycles_t max_arrive = nodes[0].now;
@@ -74,7 +74,7 @@ PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
   classify(nodes, spread);
   check_rules_and_kappa(nodes, ps);
   move_data(nodes, spread);
-  price(nodes, ps);
+  price(nodes, phase_idx, ps);
 
   for (auto& nd : nodes) {
     // Per-phase m_op: everything charged locally since the last sync,
@@ -86,7 +86,6 @@ PhaseStats PhasePipeline::run_phase(std::vector<NodeState>& nodes) {
     nd.puts.clear();
     nd.put_buf.clear();
     nd.enq_words = 0;
-    nd.phase_count++;
   }
   return ps;
 }
@@ -248,7 +247,8 @@ void PhasePipeline::move_data(std::vector<NodeState>& nodes, bool spread) {
   }
 }
 
-void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
+void PhasePipeline::price(std::vector<NodeState>& nodes,
+                          std::uint64_t phase_idx, PhaseStats& ps) {
   const int p = comm_.nprocs();
   const auto up = static_cast<std::size_t>(p);
   const auto& sw = comm_.config().sw;
@@ -305,15 +305,13 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
   // salts stay 0, no draw ever happens, and the memo keys are unchanged.
   // Fault draws key on (fingerprint, phase index, attempt, round) — never
   // on simulated time or host scheduling — which is what keeps faulted
-  // traces bit-identical across lane engines, worker counts, and job
-  // counts. The phase index comes off the node phase counters, which every
-  // lane advances in lockstep.
+  // traces bit-identical across carrier counts, worker counts, and job
+  // counts. The phase index is the run's count of completed phases.
   const net::FaultParams& fparams = comm_.config().net.fault;
   const bool msg_faults = fparams.message_faults_enabled();
   const bool node_faults = fparams.node_faults_enabled();
   const std::uint64_t ffp =
       (msg_faults || node_faults) ? net::fault_fingerprint(fparams) : 0;
-  const std::uint64_t phase_idx = nodes.empty() ? 0 : nodes[0].phase_count;
   if (node_faults) {
     // Transient stalls and slowdowns delay the node's arrival at the
     // exchange. They are applied after max_ready is taken, so the lost
@@ -383,8 +381,7 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
       // put/get counts.
       const std::int64_t plan_bytes =
           2 * static_cast<std::int64_t>(p) * sw.plan_entry_bytes;
-      const auto plan =
-          comm_.allgather(t_ready_, plan_bytes, /*control=*/true, salt_plan);
+      const auto plan = comm_.allgather(t_ready_, plan_bytes, salt_plan);
       ps.messages += plan.messages;
       ps.wire_bytes += plan.wire_bytes;
       ps.retries += plan.retries;
@@ -462,7 +459,7 @@ void PhasePipeline::price(std::vector<NodeState>& nodes, PhaseStats& ps) {
 
   cycles_t release = finish;
   if (p > 1) {
-    release = net::simulate_tree_barrier(comm_.config().net, sw, t_done_);
+    release = comm_.barrier(t_done_);
   }
   ps.barrier_cycles = release - finish;
 

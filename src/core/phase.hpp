@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -73,12 +72,11 @@ struct NodeState {
   cycles_t now{0};
   cycles_t compute{0};
   cycles_t compute_at_phase_start{0};
-  std::unique_ptr<support::Xoshiro256> rng;
+  support::Xoshiro256 rng{0};  ///< re-seeded by every run()
   std::vector<GetReq> gets;
   std::vector<PutReq> puts;
   std::vector<std::uint64_t> put_buf;
   std::uint64_t enq_words{0};
-  std::uint64_t phase_count{0};
 };
 
 class PhasePipeline {
@@ -88,9 +86,11 @@ class PhasePipeline {
 
   /// Runs one phase: classifies and moves all queued traffic, prices the
   /// exchange, advances every node's clock to the barrier release time,
-  /// and clears the queues. Throws ContractViolation on a bulk-synchrony
-  /// rule violation (when rule checking is on).
-  [[nodiscard]] PhaseStats run_phase(std::vector<NodeState>& nodes);
+  /// and clears the queues. `phase_idx` (the run's count of completed
+  /// phases) keys the phase's fault draws. Throws ContractViolation on a
+  /// bulk-synchrony rule violation (when rule checking is on).
+  [[nodiscard]] PhaseStats run_phase(std::vector<NodeState>& nodes,
+                                     std::uint64_t phase_idx);
 
  private:
   /// One classify row entry: remote words the row's source moves to
@@ -148,7 +148,8 @@ class PhasePipeline {
   void check_rules_and_kappa(const std::vector<NodeState>& nodes,
                              PhaseStats& ps) const;
   void move_data(std::vector<NodeState>& nodes, bool spread);
-  void price(std::vector<NodeState>& nodes, PhaseStats& ps);
+  void price(std::vector<NodeState>& nodes, std::uint64_t phase_idx,
+             PhaseStats& ps);
 
   SharedStore& store_;
   const msg::Comm& comm_;

@@ -166,7 +166,7 @@ void Context::charge_cycles(cycles_t c) {
 }
 
 support::Xoshiro256& Context::rng() {
-  return *rt_->nodes_[static_cast<std::size_t>(rank_)].rng;
+  return rt_->nodes_[static_cast<std::size_t>(rank_)].rng;
 }
 
 void Context::sync() { rt_->barrier_->arrive_and_wait(); }
@@ -193,13 +193,11 @@ void Runtime::reset_clocks() {
     nd.now = 0;
     nd.compute = 0;
     nd.compute_at_phase_start = 0;
-    nd.rng = std::make_unique<support::Xoshiro256>(
-        opts_.seed, (run_counter_ << 20) | i);
+    nd.rng = support::Xoshiro256(opts_.seed, (run_counter_ << 20) | i);
     nd.gets.clear();
     nd.puts.clear();
     nd.put_buf.clear();
     nd.enq_words = 0;
-    nd.phase_count = 0;
   }
 }
 
@@ -220,7 +218,7 @@ RunResult Runtime::run(const std::function<void(Context&)>& program) {
     // The completion runs on whichever lane arrives last, serialized by
     // the barrier — a budget breach here unwinds every program lane.
     watchdog_.poll("phase");
-    result_.add_phase(pipeline_.run_phase(nodes_));
+    result_.add_phase(pipeline_.run_phase(nodes_, result_.phases));
   });
 
   exec_.run_program([this, &program](int rank) {
@@ -235,10 +233,6 @@ RunResult Runtime::run(const std::function<void(Context&)>& program) {
 
   if (auto e = barrier_->take_error()) std::rethrow_exception(e);
   check_queues_empty();
-  for (const auto& nd : nodes_) {
-    QSM_REQUIRE(nd.phase_count == nodes_.front().phase_count,
-                "nodes disagree on phase count");
-  }
 
   for (const auto& nd : nodes_) {
     result_.total_cycles = std::max(result_.total_cycles, nd.now);

@@ -2,10 +2,11 @@
 //
 // The library ends every bulk-synchronous phase with a tree barrier:
 // ceil(log2 p) combine rounds up the tree and ceil(log2 p) release rounds
-// back down, each round a small control message. We provide a closed form
-// (used by the runtime on every sync) and an event-driven simulation of the
-// same tree (used by tests to validate the closed form and by the Table 3
-// bench to report the measured barrier cost).
+// back down, each round a small control message. We provide an
+// event-driven simulation of the tree with per-node arrival times (what
+// msg::Comm::barrier prices every sync with) and a closed form for
+// simultaneous arrival (the oracle the tests check the simulation
+// against).
 #pragma once
 
 #include <vector>

@@ -495,30 +495,6 @@ ExchangeResult simulate_exchange(const NetworkParams& hw,
                         spec.fault_salt, ws);
 }
 
-ExchangeResult simulate_alltoallv(
-    const NetworkParams& hw, const SoftwareParams& sw,
-    const std::vector<cycles_t>& start,
-    const std::vector<std::vector<std::int64_t>>& bytes,
-    std::uint64_t fault_salt) {
-  const int p = static_cast<int>(start.size());
-  QSM_REQUIRE(bytes.size() == start.size(), "bytes matrix must be p x p");
-  WorkspaceLoan loan;
-  Workspace& ws = loan.ws;
-  ws.sends.clear();
-  for (int i = 0; i < p; ++i) {
-    const auto& row = bytes[static_cast<std::size_t>(i)];
-    QSM_REQUIRE(row.size() == start.size(), "bytes matrix must be p x p");
-    for (int j = 0; j < p; ++j) {
-      const std::int64_t b = row[static_cast<std::size_t>(j)];
-      if (i != j && b > 0) {
-        ws.sends.push_back(Transfer{i, j, b});
-      }
-    }
-  }
-  return simulate_sends(hw, sw, start, false,
-                        ExchangeSpec::SendOrder::Staggered, fault_salt, ws);
-}
-
 ExchangeResult simulate_alltoallv_sparse(
     const NetworkParams& hw, const SoftwareParams& sw,
     const std::vector<cycles_t>& start,

@@ -71,25 +71,17 @@ struct ExchangeResult {
 };
 
 /// Simulates the exchange event by event; deterministic for a given spec.
-/// This and the two alltoallv forms below never take the closed form, so
+/// This and the sparse all-to-all below never take the closed form, so
 /// tests can use them as its oracle.
 [[nodiscard]] ExchangeResult simulate_exchange(const NetworkParams& hw,
                                                const SoftwareParams& sw,
                                                const ExchangeSpec& spec);
 
-/// Convenience: an all-to-all personalized exchange where node i sends
-/// `bytes[i][j]` payload bytes to node j (zero entries produce no message).
-[[nodiscard]] ExchangeResult simulate_alltoallv(
-    const NetworkParams& hw, const SoftwareParams& sw,
-    const std::vector<cycles_t>& start,
-    const std::vector<std::vector<std::int64_t>>& bytes,
-    std::uint64_t fault_salt = 0);
-
 /// Sparse all-to-all entry point: `traffic` lists only the active messages
 /// as (src * p + dst, bytes) pairs with bytes > 0 and src != dst. Schedules
-/// exactly those messages — identical to simulate_alltoallv on the matrix
-/// whose nonzero entries are `traffic`, without ever materializing the p x p
-/// matrix. p is taken from start.size().
+/// exactly those messages as data traffic in the staggered order —
+/// identical to simulate_exchange on the same transfers — without ever
+/// materializing a p x p matrix. p is taken from start.size().
 [[nodiscard]] ExchangeResult simulate_alltoallv_sparse(
     const NetworkParams& hw, const SoftwareParams& sw,
     const std::vector<cycles_t>& start,

@@ -14,8 +14,9 @@ namespace {
 Comm default_comm(int p = 4) { return Comm(machine::default_sim(p)); }
 
 TEST(Comm, BarrierCostMatchesNetModel) {
+  // Simultaneous arrivals release after exactly the closed-form tree cost.
   const auto c = default_comm(16);
-  EXPECT_EQ(c.barrier_cost(),
+  EXPECT_EQ(c.barrier(std::vector<support::cycles_t>(16, 0)),
             net::tree_barrier_cost(c.config().net, c.config().sw, 16));
 }
 
@@ -39,51 +40,27 @@ TEST(Comm, AllgatherZeroBytesStillSendsControlMessages) {
   EXPECT_EQ(r.messages, 12u);
 }
 
-TEST(Comm, GatherConvergesOnRoot) {
-  const auto c = default_comm(4);
-  const std::vector<std::int64_t> bytes{0, 100, 100, 100};
-  const auto r = c.gather(std::vector<support::cycles_t>(4, 0), 0, bytes);
-  EXPECT_EQ(r.messages, 3u);
-  // Root's receive resources did all the receiving.
-  EXPECT_GT(r.nodes[0].rx_busy, 0);
-  EXPECT_EQ(r.nodes[1].rx_busy, 0);
-}
-
-TEST(Comm, GatherRootSendsNothing) {
-  const auto c = default_comm(3);
-  const std::vector<std::int64_t> bytes{999, 10, 10};
-  const auto r = c.gather(std::vector<support::cycles_t>(3, 0), 0, bytes);
-  EXPECT_EQ(r.messages, 2u);  // root's own contribution is local
-}
-
-TEST(Comm, AlltoallvDiagonalIgnored) {
-  const auto c = default_comm(3);
-  std::vector<std::vector<std::int64_t>> bytes{
-      {50, 10, 10}, {10, 50, 10}, {10, 10, 50}};
-  const auto r = c.alltoallv(std::vector<support::cycles_t>(3, 0), bytes);
-  EXPECT_EQ(r.messages, 6u);
-}
-
-TEST(Comm, PointToPointMatchesIsolatedCost) {
-  const auto c = default_comm(2);
-  const net::MsgCost mc{c.config().net, c.config().sw};
-  EXPECT_EQ(c.point_to_point(4096), mc.isolated(4096));
-}
-
-TEST(Comm, InvalidRootRejected) {
-  const auto c = default_comm(3);
-  EXPECT_THROW(
-      (void)c.gather(std::vector<support::cycles_t>(3, 0), 7, {1, 1, 1}),
-      support::ContractViolation);
+/// Every ordered pair (i, j != i) sends `bytes`: the complete graph as a
+/// sparse traffic list.
+std::vector<std::pair<std::int64_t, std::int64_t>> all_pairs(
+    int p, std::int64_t bytes) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
+  for (std::int64_t i = 0; i < p; ++i) {
+    for (std::int64_t j = 0; j < p; ++j) {
+      if (i != j) traffic.emplace_back(i * p + j, bytes);
+    }
+  }
+  return traffic;
 }
 
 TEST(Comm, ControlAllgatherIsCheaperThanDataAllgather) {
-  // The plan distribution takes the library's fast path: same messages,
-  // no marshalling costs.
+  // The plan distribution takes the library's fast path: the same
+  // messages sent as data (every node's payload to every other node) pay
+  // the marshalling costs.
   const auto c = default_comm(8);
   const std::vector<support::cycles_t> start(8, 0);
-  const auto data = c.allgather(start, 256, /*control=*/false);
-  const auto control = c.allgather(start, 256, /*control=*/true);
+  const auto data = c.alltoallv_sparse(start, all_pairs(8, 256));
+  const auto control = c.allgather(start, 256);
   EXPECT_LT(control.finish, data.finish);
   EXPECT_EQ(control.messages, data.messages);
 }
@@ -143,39 +120,28 @@ TEST(Comm, AllgatherMemoHitsOnRepeatAndRelativePattern) {
   EXPECT_EQ(s4.installs, 2u);
 }
 
-TEST(Comm, SparseAlltoallvMemoSharesEntriesAcrossEntryPoints) {
+TEST(Comm, SparseAlltoallvCountsEveryCallAsOneMiss) {
+  // alltoallv_sparse keeps no memo: repeats and shifted repeats are each
+  // priced again, uniform all-pairs or not, and a rejected call prices
+  // nothing.
   const auto c = default_comm(4);
   const std::vector<support::cycles_t> start(4, 0);
   using Traffic = std::vector<std::pair<std::int64_t, std::int64_t>>;
   const Traffic traffic{{1, 64}, {4, 64}, {11, 32}};
-
-  // Cold pattern: the borrowed-view probe misses once, and the miss
-  // simulates and installs without probing again.
   (void)c.alltoallv_sparse(start, traffic);
-  const auto s1 = c.xfer_cache_stats();
-  EXPECT_EQ(s1.misses, 1u);
-  EXPECT_EQ(s1.hits, 0u);
-  EXPECT_EQ(s1.installs, 1u);
-
-  // Warm repeat: one view-probe hit.
   (void)c.alltoallv_sparse(start, traffic);
-  const auto s2 = c.xfer_cache_stats();
-  EXPECT_EQ(s2.hits, 1u);
-  EXPECT_EQ(s2.misses, 1u);
-
-  // The key is the relative arrival pattern: a uniform shift hits the
-  // entry the first call installed.
   (void)c.alltoallv_sparse(std::vector<support::cycles_t>(4, 700), traffic);
-  const auto s3 = c.xfer_cache_stats();
-  EXPECT_EQ(s3.hits, 2u);
-  EXPECT_EQ(s3.installs, 1u);
-
-  // A different byte on one pair is a different pattern: new install.
-  Traffic other = traffic;
-  other[2].second = 48;
-  (void)c.alltoallv_sparse(start, other);
-  const auto s4 = c.xfer_cache_stats();
-  EXPECT_EQ(s4.installs, 2u);
+  (void)c.alltoallv_sparse(start, all_pairs(4, 16));
+  EXPECT_THROW((void)c.alltoallv_sparse(start, Traffic{{5, 8}}),
+               support::ContractViolation);
+  const auto stats = c.xfer_cache_stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.installs, 0u);
+  EXPECT_EQ(stats.clears, 0u);
+  EXPECT_EQ(stats.oversize, 0u);
+  // The plan memo is a separate counter set.
+  EXPECT_EQ(c.plan_cache_stats().misses, 0u);
 }
 
 void expect_same_result(const net::ExchangeResult& got,
@@ -198,13 +164,14 @@ void expect_same_result(const net::ExchangeResult& got,
   }
 }
 
-// A memo miss on a uniform complete graph is priced in closed form; each
-// near miss below must stay on the event simulation. Either way,
-// alltoallv_sparse (and, for uniform traffic, a data allgather) must equal
-// net::simulate_exchange on the same spec in every field, and a repeated
-// call must be a plain memo hit. The payload and the single fabric link are
-// chosen so that each near miss, priced in closed form, would give a
-// different result.
+// A uniform complete graph is priced in closed form; each near miss below
+// must stay on the event simulation. Either way, alltoallv_sparse must
+// equal net::simulate_exchange on the same spec in every field, and so must
+// a repeated call, which prices the exchange again. The plan allgather on
+// the same machines must equal the event simulation of the same graph as
+// control traffic. The payload and the single fabric link are chosen so
+// that each near miss, priced in closed form, would give a different
+// result.
 TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
   constexpr int p = 6;
   constexpr std::size_t up = p;
@@ -257,19 +224,17 @@ TEST(Comm, UniformAlltoallvMatchesEventSimulationAndNearMisses) {
     const Comm sparse_comm(tc.cfg);
     expect_same_result(sparse_comm.alltoallv_sparse(start, traffic, tc.salt),
                        want, tc.name + ": sparse");
-    if (tc.flat == uniform) {
-      const Comm gather_comm(tc.cfg);
-      expect_same_result(
-          gather_comm.allgather(start, b, /*control=*/false, tc.salt), want,
-          tc.name + ": allgather");
-    }
-
     expect_same_result(sparse_comm.alltoallv_sparse(start, traffic, tc.salt),
                        want, tc.name + ": repeat");
-    const auto stats = sparse_comm.xfer_cache_stats();
-    EXPECT_EQ(stats.misses, 1u) << tc.name;
-    EXPECT_EQ(stats.hits, 1u) << tc.name;
-    EXPECT_EQ(stats.installs, 1u) << tc.name;
+    EXPECT_EQ(sparse_comm.xfer_cache_stats().misses, 2u) << tc.name;
+
+    if (tc.flat == uniform) {
+      spec.control = true;
+      const Comm gather_comm(tc.cfg);
+      expect_same_result(gather_comm.allgather(start, b, tc.salt),
+                         net::simulate_exchange(tc.cfg.net, tc.cfg.sw, spec),
+                         tc.name + ": allgather");
+    }
   }
 }
 
@@ -309,7 +274,8 @@ TEST(Comm, SparseAlltoallvMatchesFlat) {
 }
 
 TEST(Comm, BiggerMachineHasCostlierBarrier) {
-  EXPECT_GT(default_comm(64).barrier_cost(), default_comm(4).barrier_cost());
+  EXPECT_GT(default_comm(64).barrier(std::vector<support::cycles_t>(64, 0)),
+            default_comm(4).barrier(std::vector<support::cycles_t>(4, 0)));
 }
 
 }  // namespace

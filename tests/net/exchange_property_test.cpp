@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "net/exchange.hpp"
 #include "support/rng.hpp"
@@ -123,15 +126,88 @@ TEST_P(ExchangeProperties, WireBytesConserved) {
   EXPECT_EQ(r.messages, spec.transfers.size());
 }
 
+/// `delayed` is `base` moved later by exactly `shift`: the global finish
+/// and every node's finish move by the shift, and every other field — busy
+/// cycles, message, byte and fault counts — is equal.
+void expect_translated(const ExchangeResult& base,
+                       const ExchangeResult& delayed, support::cycles_t shift) {
+  EXPECT_EQ(delayed.finish, base.finish + shift);
+  EXPECT_EQ(delayed.messages, base.messages);
+  EXPECT_EQ(delayed.wire_bytes, base.wire_bytes);
+  EXPECT_EQ(delayed.retries, base.retries);
+  EXPECT_EQ(delayed.drops, base.drops);
+  EXPECT_EQ(delayed.duplicates, base.duplicates);
+  ASSERT_EQ(delayed.nodes.size(), base.nodes.size());
+  for (std::size_t i = 0; i < base.nodes.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(delayed.nodes[i].finish, base.nodes[i].finish + shift);
+    EXPECT_EQ(delayed.nodes[i].cpu_busy, base.nodes[i].cpu_busy);
+    EXPECT_EQ(delayed.nodes[i].tx_busy, base.nodes[i].tx_busy);
+    EXPECT_EQ(delayed.nodes[i].rx_busy, base.nodes[i].rx_busy);
+  }
+}
+
+// Exact time translation: the exchange is priced wherever the phase's
+// arrivals put it, and the plan memo replays an allgather at another start
+// time by adding the offset back, so a uniform shift of every start must
+// shift every completion time by exactly that much and move nothing else.
+// Checked on every topology and on a congested fabric, for random traffic
+// and for the uniform all-pairs graph as control and as data traffic, and,
+// where it applies, for the closed form of that graph.
 TEST_P(ExchangeProperties, LaterStartsNeverFinishEarlier) {
   const auto [p, seed] = GetParam();
-  auto spec = random_spec(p, static_cast<std::uint64_t>(seed), 8);
-  const NetworkParams hw;
+  const auto random = random_spec(p, static_cast<std::uint64_t>(seed), 8);
+  const auto bytes = static_cast<std::int64_t>(256 * seed);
+  ExchangeSpec all_pairs;
+  all_pairs.p = p;
+  all_pairs.start = random.start;
+  for (int i = 0; i < p; ++i) {
+    for (int j = 0; j < p; ++j) {
+      if (i != j) all_pairs.transfers.push_back({i, j, bytes});
+    }
+  }
+  ExchangeSpec all_pairs_control = all_pairs;
+  all_pairs_control.control = true;
+  const std::vector<std::pair<std::string, const ExchangeSpec*>> specs{
+      {"random", &random},
+      {"all-pairs data", &all_pairs},
+      {"all-pairs control", &all_pairs_control}};
+  constexpr support::cycles_t kShift = 10000;
+  const auto delay = [](std::vector<support::cycles_t> start) {
+    for (auto& s : start) s += kShift;
+    return start;
+  };
+
+  std::vector<std::pair<std::string, NetworkParams>> machines;
+  machines.emplace_back("fully-connected", NetworkParams{});
+  machines.emplace_back("ring", NetworkParams{});
+  machines.back().second.topology = Topology::Ring;
+  machines.emplace_back("torus-2d", NetworkParams{});
+  machines.back().second.topology = Topology::Torus2D;
+  machines.emplace_back("one fabric link", NetworkParams{});
+  machines.back().second.fabric_links = 1;
   const SoftwareParams sw;
-  const auto base = simulate_exchange(hw, sw, spec);
-  for (auto& s : spec.start) s += 10000;
-  const auto delayed = simulate_exchange(hw, sw, spec);
-  EXPECT_GE(delayed.finish, base.finish);
+
+  for (const auto& [name, hw] : machines) {
+    for (const auto& [what, spec] : specs) {
+      SCOPED_TRACE(name + ": " + what);
+      auto delayed = *spec;
+      delayed.start = delay(spec->start);
+      expect_translated(simulate_exchange(hw, sw, *spec),
+                        simulate_exchange(hw, sw, delayed), kShift);
+    }
+    if (!uniform_all_pairs_exact(hw, 0)) continue;
+    for (const bool control : {false, true}) {
+      SCOPED_TRACE(name + (control ? ": closed form control"
+                                   : ": closed form data"));
+      const auto base =
+          simulate_uniform_all_pairs(hw, sw, random.start, bytes, control);
+      expect_translated(base,
+                        simulate_uniform_all_pairs(hw, sw, delay(random.start),
+                                                   bytes, control),
+                        kShift);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -134,10 +134,14 @@ TEST(Exchange, MoreBytesNeverFinishEarlier) {
   const auto sw = default_sw();
   support::cycles_t prev = 0;
   for (std::int64_t b : {64, 256, 1024, 4096, 16384}) {
-    std::vector<std::vector<std::int64_t>> bytes(
-        4, std::vector<std::int64_t>(4, b));
-    for (int i = 0; i < 4; ++i) bytes[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)] = 0;
-    const auto r = simulate_alltoallv(hw, sw, std::vector<support::cycles_t>(4, 0), bytes);
+    std::vector<std::pair<std::int64_t, std::int64_t>> traffic;
+    for (std::int64_t i = 0; i < 4; ++i) {
+      for (std::int64_t j = 0; j < 4; ++j) {
+        if (i != j) traffic.emplace_back(i * 4 + j, b);
+      }
+    }
+    const auto r = simulate_alltoallv_sparse(
+        hw, sw, std::vector<support::cycles_t>(4, 0), traffic);
     EXPECT_GT(r.finish, prev);
     prev = r.finish;
   }
@@ -147,7 +151,8 @@ TEST(Exchange, SparseAlltoallvMatchesDenseMatrix) {
   const auto hw = default_hw();
   const auto sw = default_sw();
   // A handful of patterns from near-empty to full: the sparse entry point
-  // must schedule exactly the messages the matrix form extracts.
+  // must schedule exactly the messages a p x p byte matrix holds, as the
+  // event simulation of that matrix's nonzero entries does.
   for (const int fill : {1, 3, 7}) {
     const std::size_t p = 8;
     std::vector<std::vector<std::int64_t>> bytes(
@@ -167,7 +172,18 @@ TEST(Exchange, SparseAlltoallvMatchesDenseMatrix) {
     for (std::size_t i = 0; i < p; ++i) {
       start[i] = static_cast<support::cycles_t>((i * 37) % 5) * 100;
     }
-    const auto dense = simulate_alltoallv(hw, sw, start, bytes);
+    ExchangeSpec spec;
+    spec.p = static_cast<int>(p);
+    spec.start = start;
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (bytes[i][j] > 0) {
+          spec.transfers.push_back(
+              {static_cast<int>(i), static_cast<int>(j), bytes[i][j]});
+        }
+      }
+    }
+    const auto dense = simulate_exchange(hw, sw, spec);
     const auto sparse = simulate_alltoallv_sparse(hw, sw, start, traffic);
     ASSERT_EQ(dense.nodes.size(), sparse.nodes.size()) << "fill=" << fill;
     EXPECT_EQ(dense.finish, sparse.finish) << "fill=" << fill;
